@@ -346,16 +346,18 @@ int cmd_serve(const CliArgs& args) {
                  "(re-convert with --keep-floats); rerank disabled\n");
   }
 
+  // Coarse-quantizer fields shared by --index=ivf and --index=ivfpq.
+  index::IvfConfig coarse;
+  coarse.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
+  coarse.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 8));
+  coarse.threads = build_threads;
+  coarse.metrics = &metrics;
+
   std::unique_ptr<index::VectorIndex> idx;
   if (kind == "ivf") {
     require_floats("--index=ivf needs float rows (use sq8/ivfpq)");
-    index::IvfConfig config;
-    config.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
-    config.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 8));
-    config.threads = build_threads;
-    config.metrics = &metrics;
     idx = std::make_unique<index::IvfIndex>(mapped.float_view(), metric,
-                                            config);
+                                            coarse);
   } else if (kind == "sq8") {
     if (mapped.has_section("sq8c")) {
       auto sq = index::SqIndex::from_snapshot(mapped, {.rerank = rerank});
@@ -369,12 +371,8 @@ int cmd_serve(const CliArgs& args) {
           index::SqConfig{.threads = build_threads, .rerank = rerank});
     }
   } else if (kind == "ivfpq") {
-    index::IvfPqConfig config;
-    config.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
-    config.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 8));
+    index::IvfPqConfig config{coarse};
     config.rerank = rerank;
-    config.threads = build_threads;
-    config.metrics = &metrics;
     if (mapped.has_section("pqcd")) {
       auto ivfpq = index::IvfPqIndex::from_snapshot(mapped, config);
       warn_stored_metric(ivfpq->metric());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -35,8 +34,6 @@ struct TrainerState {
   std::vector<double> keep_probability;  // subsampling; empty = keep all
   std::atomic<std::uint64_t> tokens_processed{0};
   std::uint64_t planned_tokens = 0;
-  std::size_t grain = 0;   // resolved work-queue chunk size (for metrics)
-  std::size_t chunks = 0;  // chunks per epoch (for metrics)
 
   explicit TrainerState(const TrainConfig& cfg) : config(cfg) {}
 };
@@ -218,6 +215,16 @@ void initialize_vectors(TrainerState& state, std::size_t vocab_size) {
   }
 }
 
+/// Negative-sampling noise distribution: P(v) ~ max(freq, 1)^0.75.
+walk::AliasTable noise_table(std::span<const std::uint64_t> frequencies) {
+  std::vector<double> weights(frequencies.size());
+  for (std::size_t v = 0; v < frequencies.size(); ++v) {
+    weights[v] =
+        std::pow(static_cast<double>(std::max<std::uint64_t>(frequencies[v], 1)), 0.75);
+  }
+  return walk::AliasTable(weights);
+}
+
 /// Sets up the output layer and noise/Huffman structures from a frequency
 /// profile (corpus counts, or a degree proxy for streaming). Returns the
 /// HuffmanTree by value so its storage outlives the training loop.
@@ -232,12 +239,7 @@ std::unique_ptr<HuffmanTree> initialize_objective(
   } else {
     state.syn1 = MatrixF(frequencies.size(), state.config.dimensions);
     place_shared_matrix(state.syn1);
-    std::vector<double> noise_weights(frequencies.size());
-    for (std::size_t v = 0; v < frequencies.size(); ++v) {
-      noise_weights[v] =
-          std::pow(static_cast<double>(std::max<std::uint64_t>(frequencies[v], 1)), 0.75);
-    }
-    state.noise = walk::AliasTable(noise_weights);
+    state.noise = noise_table(frequencies);
   }
   return huffman;
 }
@@ -257,20 +259,51 @@ void initialize_subsampling(TrainerState& state,
   }
 }
 
-/// Shared epoch loop: `run_epoch(epoch)` must execute one full pass and
-/// return the merged per-thread stats.
-TrainResult run_training(TrainerState& state,
-                         const std::function<EpochShard(std::size_t)>& run_epoch) {
+/// The one epoch loop, for corpus-backed and streaming training alike:
+/// splits `items` (walks or start vertices) into the resolved work-queue
+/// geometry and runs `body(trainer, epoch, begin, end)` per chunk, each
+/// chunk on its own trainer whose RNG is forked per (epoch, chunk) —
+/// results depend only on (seed, grain), not on which worker claims which
+/// chunk. Chunks are handed out through the node-preferring NUMA queue (a
+/// no-op schedule on single-node hosts), which changes claiming order
+/// only, never results.
+template <typename ChunkBody>
+TrainResult run_training(TrainerState& state, std::size_t items,
+                         ChunkBody&& body) {
+  const TrainConfig& config = state.config;
+  const std::size_t threads = std::max<std::size_t>(1, config.threads);
+  const std::size_t grain =
+      config.grain != 0 ? config.grain : default_grain(items, threads);
+  const std::size_t chunks = chunk_count(items, grain);
+  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
+  const NumaSchedule numa_schedule = numa::schedule();
+  const auto run_epoch = [&](std::size_t epoch) {
+    std::vector<EpochShard> shards(chunks);
+    parallel_for_dynamic(
+        threads, items, grain, numa_schedule,
+        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
+            std::size_t end) {
+          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
+          body(trainer, epoch, begin, end);
+          shards[chunk] = trainer.finish();
+        });
+    EpochShard totals;
+    for (const auto& shard : shards) {
+      totals.loss += shard.loss;
+      totals.examples += shard.examples;
+    }
+    return totals;
+  };
+
   WallTimer timer;
   TrainResult result;
   double prev_loss = 0.0;
-  const TrainConfig& config = state.config;
   obs::MetricsRegistry* metrics = config.metrics;
   const obs::ScopedTimer train_span(metrics, "train");
 
   if (metrics != nullptr) {
-    metrics->gauge("train.grain").set(static_cast<double>(state.grain));
-    metrics->gauge("train.chunks").set(static_cast<double>(state.chunks));
+    metrics->gauge("train.grain").set(static_cast<double>(grain));
+    metrics->gauge("train.chunks").set(static_cast<double>(chunks));
     metrics->counter(std::string("train.isa.") + kernels::active_isa_name()).add(1);
   }
 
@@ -346,49 +379,23 @@ TrainResult run_training(TrainerState& state,
   return result;
 }
 
-/// Shared corpus-backed epoch driver: resolves the work-queue geometry
-/// and runs the chunk-indexed-RNG epoch loop (results depend only on
-/// (seed, grain), not on which worker claims which chunk). Used by both
-/// the cold-start and warm-start entry points, for RAM-resident and
-/// spooled corpora alike — the chunk geometry is a pure function of
-/// walk_count, so the two backings train bit-identically. Chunks are
-/// handed out through the node-preferring NUMA queue (a no-op schedule on
-/// single-node hosts), which changes claiming order only, never results.
+/// Corpus-backed training (cold and warm start, RAM-resident and spooled
+/// corpora alike): the chunk geometry is a pure function of walk_count,
+/// so the two backings train bit-identically.
 TrainResult run_corpus_training(TrainerState& state,
                                 const walk::CorpusReader& corpus) {
-  const TrainConfig& config = state.config;
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(corpus.walk_count(), threads);
-  const std::size_t chunks = chunk_count(corpus.walk_count(), grain);
-  state.grain = grain;
-  state.chunks = chunks;
-  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
-  const NumaSchedule numa_schedule = numa::schedule();
-
-  return run_training(state, [&](std::size_t epoch) {
-    std::vector<EpochShard> shards(chunks);
-    parallel_for_dynamic(
-        threads, corpus.walk_count(), grain, numa_schedule,
-        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-            std::size_t end) {
-          // Kick off readahead for the whole chunk before the SGD loop
-          // starts faulting token pages one walk at a time (no-op for the
-          // in-RAM backing).
-          corpus.prefetch(begin, end);
-          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
-          for (std::size_t w = begin; w < end; ++w) {
-            trainer.train_sentence(corpus.walk(w));
-          }
-          shards[chunk] = trainer.finish();
-        });
-    EpochShard totals;
-    for (const auto& shard : shards) {
-      totals.loss += shard.loss;
-      totals.examples += shard.examples;
-    }
-    return totals;
-  });
+  return run_training(
+      state, corpus.walk_count(),
+      [&](SentenceTrainer& trainer, std::size_t /*epoch*/, std::size_t begin,
+          std::size_t end) {
+        // Kick off readahead for the whole chunk before the SGD loop
+        // starts faulting token pages one walk at a time (no-op for the
+        // in-RAM backing).
+        corpus.prefetch(begin, end);
+        for (std::size_t w = begin; w < end; ++w) {
+          trainer.train_sentence(corpus.walk(w));
+        }
+      });
 }
 
 }  // namespace
@@ -511,12 +518,7 @@ TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
       auto dst = state.syn1.row(v);
       std::copy(src.begin(), src.end(), dst.begin());
     }
-    std::vector<double> noise_weights(vocab_size);
-    for (std::size_t v = 0; v < vocab_size; ++v) {
-      noise_weights[v] = std::pow(
-          static_cast<double>(std::max<std::uint64_t>(new_frequencies[v], 1)), 0.75);
-    }
-    state.noise = walk::AliasTable(noise_weights);
+    state.noise = noise_table(new_frequencies);
   }
   initialize_subsampling(state, std::span<const std::uint64_t>(new_frequencies),
                          corpus.token_count());
@@ -564,42 +566,22 @@ TrainResult train_embedding_streaming(const graph::Graph& g,
                          total_proxy);
 
   const walk::Walker walker(g, walk_config);
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(vocab_size, threads);
-  const std::size_t chunks = chunk_count(vocab_size, grain);
-  state.grain = grain;
-  state.chunks = chunks;
-  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
   const Rng walk_root(config.seed ^ 0x94d049bb133111ebULL);
-  const NumaSchedule numa_schedule = numa::schedule();
-
-  TrainResult result = run_training(state, [&](std::size_t epoch) {
-    std::vector<EpochShard> shards(chunks);
-    parallel_for_dynamic(
-        threads, vocab_size, grain, numa_schedule,
-        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-            std::size_t end) {
-          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
-          std::vector<graph::VertexId> buffer;
-          buffer.reserve(walk_config.walk_length);
-          for (std::size_t v = begin; v < end; ++v) {
-            // Fresh walks every epoch, deterministic per (seed, epoch, v).
-            Rng walk_rng = walk_root.fork(epoch * vocab_size + v);
-            for (std::size_t w = 0; w < walk_config.walks_per_vertex; ++w) {
-              walker.walk_from(static_cast<graph::VertexId>(v), walk_rng, buffer);
-              trainer.train_sentence(buffer);
-            }
+  TrainResult result = run_training(
+      state, vocab_size,
+      [&](SentenceTrainer& trainer, std::size_t epoch, std::size_t begin,
+          std::size_t end) {
+        std::vector<graph::VertexId> buffer;
+        buffer.reserve(walk_config.walk_length);
+        for (std::size_t v = begin; v < end; ++v) {
+          // Fresh walks every epoch, deterministic per (seed, epoch, v).
+          Rng walk_rng = walk_root.fork(epoch * vocab_size + v);
+          for (std::size_t w = 0; w < walk_config.walks_per_vertex; ++w) {
+            walker.walk_from(static_cast<graph::VertexId>(v), walk_rng, buffer);
+            trainer.train_sentence(buffer);
           }
-          shards[chunk] = trainer.finish();
-        });
-    EpochShard totals;
-    for (const auto& shard : shards) {
-      totals.loss += shard.loss;
-      totals.examples += shard.examples;
-    }
-    return totals;
-  });
+        }
+      });
   if (result.checkpoint) result.checkpoint->frequencies = frequencies;
   return result;
 }

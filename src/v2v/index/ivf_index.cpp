@@ -1,118 +1,41 @@
 #include "v2v/index/ivf_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "v2v/common/kernels.hpp"
-#include "v2v/common/rng.hpp"
-#include "v2v/common/thread_pool.hpp"
-#include "v2v/common/vec_math.hpp"
-#include "v2v/ml/kmeans.hpp"
+#include "v2v/index/quantizer.hpp"
 #include "v2v/obs/metrics.hpp"
 
 namespace v2v::index {
-namespace {
-
-/// Copies `src` into `dst`, L2-normalizing when `cosine` (zero rows stay
-/// zero, so their dot with any unit query is 0 and their cosine distance
-/// comes out as the conventional 1).
-void load_row(std::span<const float> src, std::span<float> dst, bool cosine) {
-  std::copy(src.begin(), src.end(), dst.begin());
-  if (cosine) normalize(dst);
-}
-
-}  // namespace
 
 IvfIndex::IvfIndex(store::EmbeddingView data, DistanceMetric metric,
                    IvfConfig config)
-    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric),
-      nprobe_(config.nprobe) {
+    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric) {
   if (rows_ == 0) throw std::invalid_argument("ivf: empty embedding");
   const obs::ScopedTimer span(config.metrics, "ivf_build");
-  const bool cosine = metric_ == DistanceMetric::kCosine;
-
-  // --- Quantizer: k-means over a deterministic sample of the rows. ------
-  std::size_t sample_count = rows_;
-  std::vector<std::size_t> sample;  // empty = identity
-  if (config.train_sample != 0 && config.train_sample < rows_) {
-    Rng rng(config.seed ^ 0x1c0ffee5eedULL);
-    sample = rng.sample_indices(rows_, config.train_sample);
-    sample_count = sample.size();
-  }
-  std::size_t nlist = config.nlist;
-  if (nlist == 0) {
-    nlist = static_cast<std::size_t>(
-        std::lround(std::sqrt(static_cast<double>(rows_))));
-  }
-  nlist = std::clamp<std::size_t>(nlist, 1, sample_count);
+  const std::size_t threads = std::max<std::size_t>(1, config.threads);
 
   // All rows, metric-normalized once: feeds quantizer training, the
-  // engine assignment pass, and the posting repack without re-reading
-  // (and re-normalizing) the backing store three times.
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  MatrixF normalized(rows_, dims_);
-  parallel_for_dynamic(threads, rows_, 0,
-                       [&](std::size_t, std::size_t, std::size_t begin,
-                           std::size_t end) {
-                         for (std::size_t r = begin; r < end; ++r) {
-                           load_row(data.row(r), normalized.row(r), cosine);
-                         }
-                       });
+  // assignment pass and the slot-order copy below.
+  const MatrixF normalized = normalized_rows(data, metric_, threads);
+  core_.build(normalized, config);
 
-  MatrixF train(sample_count, dims_);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    const std::size_t src = sample.empty() ? i : sample[i];
-    const auto row = normalized.row(src);
-    std::copy(row.begin(), row.end(), train.row(i).begin());
-  }
-
-  ml::KMeansConfig kc;
-  kc.k = nlist;
-  kc.max_iterations = std::max<std::size_t>(1, config.kmeans_iterations);
-  kc.restarts = std::max<std::size_t>(1, config.kmeans_restarts);
-  kc.seed = config.seed;
-  kc.threads = threads;
-  kc.assign = config.kmeans_assign;
-  kc.metrics = config.metrics;
-  const ml::KMeansResult trained = ml::kmeans(train, kc);
-
-  centroids_ = MatrixF(nlist, dims_);
-  for (std::size_t c = 0; c < nlist; ++c) {
-    const auto src = trained.centroids.row(c);
-    const auto dst = centroids_.row(c);
-    for (std::size_t j = 0; j < dims_; ++j) dst[j] = static_cast<float>(src[j]);
-  }
-
-  // --- Assignment pass: every row to its nearest trained centroid via
-  // the k-means engine's exact norm-cached scan (same double-precision
-  // quantizer geometry the Lloyd runs used).
-  const std::vector<std::uint32_t> assignment = ml::assign_to_centroids(
-      normalized, trained.centroids, threads, config.kmeans_assign);
-
-  // --- Repack rows into contiguous per-list postings (stable by id). ----
-  list_offsets_.assign(nlist + 1, 0);
-  for (const std::uint32_t a : assignment) ++list_offsets_[a + 1];
-  for (std::size_t c = 0; c < nlist; ++c) list_offsets_[c + 1] += list_offsets_[c];
-
-  codes_ = MatrixF(rows_, dims_);
-  ids_.resize(rows_);
-  std::vector<std::size_t> cursor(list_offsets_.begin(), list_offsets_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::size_t slot = cursor[assignment[r]]++;
-    ids_[slot] = static_cast<std::uint32_t>(r);
-    const auto row = normalized.row(r);
-    std::copy(row.begin(), row.end(), codes_.row(slot).begin());
+  slot_rows_ = MatrixF(rows_, dims_);
+  const auto ids = core_.ids();
+  for (std::size_t slot = 0; slot < rows_; ++slot) {
+    const auto row = normalized.row(ids[slot]);
+    std::copy(row.begin(), row.end(), slot_rows_.row(slot).begin());
   }
 
   if (config.metrics != nullptr) {
-    config.metrics->gauge("ivf.nlist").set(static_cast<double>(nlist));
+    config.metrics->gauge("ivf.nlist").set(static_cast<double>(nlist()));
     config.metrics->gauge("ivf.build_threads").set(static_cast<double>(threads));
     config.metrics->counter("ivf.rows").add(rows_);
     auto& sizes = config.metrics->histogram(
         "ivf.list_size",
         {0.0, std::max(1.0, static_cast<double>(rows_)), 64});
-    for (std::size_t c = 0; c < nlist; ++c) {
+    for (std::size_t c = 0; c < nlist(); ++c) {
       sizes.record(static_cast<double>(list_size(c)));
     }
     config.metrics->gauge("ivf.build_seconds").set(span.seconds());
@@ -124,56 +47,28 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
   out.clear();
   k = std::min(k, rows_);
   if (k == 0) return;
-  const std::size_t lists = nlist();
   const bool cosine = metric_ == DistanceMetric::kCosine;
-
-  thread_local std::vector<float> qbuf;
-  const float* q = query.data();
-  if (cosine) {
-    qbuf.resize(dims_);
-    load_row(query, qbuf, true);
-    q = qbuf.data();
-  }
-
-  // Rank the coarse centroids; probe the nprobe nearest lists.
-  thread_local std::vector<Neighbor> coarse;
-  coarse.clear();
-  coarse.reserve(lists);
-  for (std::size_t c = 0; c < lists; ++c) {
-    coarse.push_back({static_cast<std::uint32_t>(c),
-                      kernels::sqdist(q, centroids_.row(c).data(), dims_)});
-  }
-  const std::size_t probes =
-      std::min(std::max<std::size_t>(1, nprobe_.load(std::memory_order_relaxed)),
-               lists);
-  std::partial_sort(coarse.begin(),
-                    coarse.begin() + static_cast<std::ptrdiff_t>(probes),
-                    coarse.end(), neighbor_less);
+  const float* q = normalized_query(query, metric_);
+  const auto ids = core_.ids();
 
   thread_local std::vector<Neighbor> scored;
   scored.clear();
-  for (std::size_t p = 0; p < probes; ++p) {
-    const std::size_t list = coarse[p].id;
-    for (std::size_t slot = list_offsets_[list]; slot < list_offsets_[list + 1];
-         ++slot) {
-      const float* code = codes_.row(slot).data();
-      const double dist = cosine ? 1.0 - kernels::ddot(q, code, dims_)
-                                 : kernels::sqdist(q, code, dims_);
-      scored.push_back({ids_[slot], dist});
+  core_.probe(q, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t slot = begin; slot < end; ++slot) {
+      const float* row = slot_rows_.row(slot).data();
+      const double dist = cosine ? 1.0 - kernels::ddot(q, row, dims_)
+                                 : kernels::sqdist(q, row, dims_);
+      scored.push_back({ids[slot], dist});
     }
-  }
-
-  k = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k),
-                    scored.end(), neighbor_less);
-  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
+  });
+  select_top_k(scored, k, 0, nullptr, metric_, query, out);
 }
 
 double IvfIndex::warm_rows(std::size_t begin, std::size_t end) const {
   double sum = 0.0;
   end = std::min(end, rows_);
   for (std::size_t slot = begin; slot < end; ++slot) {
-    const auto row = codes_.row(slot);
+    const auto row = slot_rows_.row(slot);
     sum += kernels::ddot(row.data(), row.data(), row.size());
   }
   return sum;

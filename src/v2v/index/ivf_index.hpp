@@ -1,16 +1,10 @@
-// Inverted-file (IVF) approximate nearest-neighbor index.
-//
-// Build: a coarse quantizer — k-means over a sample of the rows, reusing
-// ml/kmeans — partitions the vectors into `nlist` posting lists; every row
-// is assigned to its nearest centroid (parallel over rows) and the rows
-// are repacked into one contiguous codes matrix grouped by list, so a
-// probe streams cache-line-aligned memory instead of chasing ids.
-//
-// Query: find the `nprobe` nearest centroids (by squared distance in the
-// same normalized space the quantizer was trained in), scan only their
-// lists, return the top-k by (distance, id). nprobe is the recall/QPS
-// knob: nprobe == nlist degenerates to an exact scan (recall 1.0 modulo
-// distance-formula rounding), nprobe == 1 scans ~1/nlist of the data.
+// Inverted-file (IVF) approximate nearest-neighbor index: the IvfCore
+// (coarse quantizer, posting lists, probe loop) plus the metric-normalized
+// float rows stored in slot order, so a probe streams contiguous
+// cache-line-aligned memory instead of chasing ids. nprobe is the
+// recall/QPS knob: nprobe == nlist degenerates to an exact scan (recall
+// 1.0 modulo distance-formula rounding), nprobe == 1 scans ~1/nlist of
+// the data.
 //
 // Cosine metric: rows and queries are L2-normalized once (build/query
 // time), so cosine distance reduces to 1 - dot and the quantizer's
@@ -21,51 +15,24 @@
 // rounding) — exactness lives in FlatIndex, IVF trades it for speed.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "v2v/common/matrix.hpp"
+#include "v2v/index/ivf_core.hpp"
 #include "v2v/index/vector_index.hpp"
-#include "v2v/ml/kmeans.hpp"
 #include "v2v/store/embedding_view.hpp"
 
-namespace v2v::obs {
-class MetricsRegistry;
-}  // namespace v2v::obs
-
 namespace v2v::index {
-
-struct IvfConfig {
-  /// Posting lists (coarse centroids); 0 picks ~sqrt(rows).
-  std::size_t nlist = 0;
-  /// Lists scanned per query; clamped to nlist. The recall/QPS knob.
-  std::size_t nprobe = 8;
-  /// Rows sampled for quantizer training (deterministic under `seed`);
-  /// 0 or >= rows trains on everything.
-  std::size_t train_sample = 20000;
-  /// Lloyd iterations / restarts for the quantizer: a coarse quantizer
-  /// does not need the paper's 100x100 budget.
-  std::size_t kmeans_iterations = 15;
-  std::size_t kmeans_restarts = 1;
-  std::uint64_t seed = 1;
-  /// Worker threads for the build (quantizer training + assignment pass).
-  std::size_t threads = 1;
-  /// Assignment engine for quantizer training and the row-assignment
-  /// pass. kNaive is the slow oracle kept for CI speedup gates.
-  ml::KMeansAssign kmeans_assign = ml::KMeansAssign::kHamerly;
-  /// Optional observability sink: records ivf.nlist / ivf.build_seconds /
-  /// ivf.build_threads gauges, an ivf.list_size histogram, and an
-  /// "ivf_build" stage span.
-  obs::MetricsRegistry* metrics = nullptr;
-};
 
 class IvfIndex final : public VectorIndex {
  public:
   /// Builds the index over `data` (backing storage must outlive it).
-  /// Throws std::invalid_argument when `data` is empty.
+  /// Throws std::invalid_argument when `data` is empty. `config.metrics`,
+  /// when set, records ivf.nlist / ivf.build_seconds / ivf.build_threads
+  /// gauges, an ivf.list_size histogram, and an "ivf_build" stage span.
   IvfIndex(store::EmbeddingView data, DistanceMetric metric, IvfConfig config = {});
 
   [[nodiscard]] std::size_t size() const noexcept override { return rows_; }
@@ -77,28 +44,21 @@ class IvfIndex final : public VectorIndex {
 
   double warm_rows(std::size_t begin, std::size_t end) const override;
 
-  [[nodiscard]] std::size_t nlist() const noexcept { return list_offsets_.size() - 1; }
+  /// Coarse quantizer and posting lists (slot -> row id, list offsets).
+  [[nodiscard]] const IvfCore& core() const noexcept { return core_; }
+  [[nodiscard]] std::size_t nlist() const noexcept { return core_.nlist(); }
   [[nodiscard]] std::size_t list_size(std::size_t list) const noexcept {
-    return list_offsets_[list + 1] - list_offsets_[list];
+    return core_.list_size(list);
   }
-  /// Runtime-tunable; safe to change between (not during) queries from the
-  /// controlling thread — concurrent readers just see old or new value.
-  void set_nprobe(std::size_t nprobe) noexcept {
-    nprobe_.store(nprobe, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t nprobe() const noexcept {
-    return nprobe_.load(std::memory_order_relaxed);
-  }
+  void set_nprobe(std::size_t nprobe) noexcept { core_.set_nprobe(nprobe); }
+  [[nodiscard]] std::size_t nprobe() const noexcept { return core_.nprobe(); }
 
  private:
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
   DistanceMetric metric_;
-  std::atomic<std::size_t> nprobe_;
-  MatrixF centroids_;                       ///< nlist x dims quantizer
-  MatrixF codes_;                           ///< rows x dims, grouped by list
-  std::vector<std::uint32_t> ids_;          ///< codes_ row -> original id
-  std::vector<std::size_t> list_offsets_;   ///< nlist + 1 prefix offsets
+  IvfCore core_;
+  MatrixF slot_rows_;  ///< normalized rows, in slot order
 };
 
 }  // namespace v2v::index

@@ -1,14 +1,11 @@
 #include "v2v/index/ivfpq_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "v2v/common/kernels.hpp"
-#include "v2v/common/rng.hpp"
 #include "v2v/common/thread_pool.hpp"
-#include "v2v/common/vec_math.hpp"
 #include "v2v/obs/metrics.hpp"
 #include "v2v/store/snapshot.hpp"
 
@@ -20,134 +17,62 @@ namespace {
                              "snapshot: " + detail);
 }
 
-void copy_floats(std::span<const std::uint8_t> bytes, float* dst,
-                 std::size_t count) {
-  std::memcpy(dst, bytes.data(), count * sizeof(float));
-}
-
 }  // namespace
 
 IvfPqIndex::IvfPqIndex(store::EmbeddingView data, DistanceMetric metric,
                        IvfPqConfig config)
     : rows_(data.rows()), dims_(data.dimensions()), metric_(metric),
-      nprobe_(config.nprobe), rerank_(config.rerank) {
+      rerank_(config.rerank) {
   if (rows_ == 0) throw std::invalid_argument("ivfpq: empty embedding");
   const obs::ScopedTimer span(config.metrics, "ivfpq_build");
-  const bool cosine = metric_ == DistanceMetric::kCosine;
   const std::size_t threads = std::max<std::size_t>(1, config.threads);
 
-  // Metric-normalized working copy (IvfIndex convention: cosine rows are
-  // unit, zero rows stay zero).
-  MatrixF normalized(rows_, dims_);
-  parallel_for_dynamic(threads, rows_, 0,
-                       [&](std::size_t, std::size_t, std::size_t begin,
-                           std::size_t end) {
-                         for (std::size_t r = begin; r < end; ++r) {
-                           const auto src = data.row(r);
-                           const auto dst = normalized.row(r);
-                           std::copy(src.begin(), src.end(), dst.begin());
-                           if (cosine) normalize(dst);
-                         }
-                       });
+  const MatrixF normalized = normalized_rows(data, metric_, threads);
+  const IvfCore::Assignment built = core_.build(normalized, config);
 
-  // --- Coarse quantizer over a deterministic sample (as IvfIndex). ------
-  std::size_t sample_count = rows_;
-  std::vector<std::size_t> sample;  // empty = identity
-  if (config.train_sample != 0 && config.train_sample < rows_) {
-    Rng rng(config.seed ^ 0x1c0ffee5eedULL);
-    sample = rng.sample_indices(rows_, config.train_sample);
-    sample_count = sample.size();
-  }
-  std::size_t nlist = config.nlist;
-  if (nlist == 0) {
-    nlist = static_cast<std::size_t>(
-        std::lround(std::sqrt(static_cast<double>(rows_))));
-  }
-  nlist = std::clamp<std::size_t>(nlist, 1, sample_count);
+  // Residual of row r against its float cell center (what snapshots
+  // carry, and what queries subtract — build/query geometry matches).
+  const auto residual = [&](std::size_t r, std::span<float> dst) {
+    const auto src = normalized.row(r);
+    std::copy(src.begin(), src.end(), dst.begin());
+    kernels::axpy(-1.0f, core_.centroid(built.cell[r]).data(), dst.data(),
+                  dims_);
+  };
 
-  MatrixF train(sample_count, dims_);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    const std::size_t src = sample.empty() ? i : sample[i];
-    const auto row = normalized.row(src);
-    std::copy(row.begin(), row.end(), train.row(i).begin());
-  }
-
-  ml::KMeansConfig kc;
-  kc.k = nlist;
-  kc.max_iterations = std::max<std::size_t>(1, config.kmeans_iterations);
-  kc.restarts = std::max<std::size_t>(1, config.kmeans_restarts);
-  kc.seed = config.seed;
-  kc.threads = threads;
-  kc.assign = config.kmeans_assign;
-  kc.metrics = config.metrics;
-  const ml::KMeansResult trained = ml::kmeans(train, kc);
-
-  coarse_ = MatrixF(nlist, dims_);
-  for (std::size_t c = 0; c < nlist; ++c) {
-    const auto src = trained.centroids.row(c);
-    const auto dst = coarse_.row(c);
-    for (std::size_t j = 0; j < dims_; ++j) dst[j] = static_cast<float>(src[j]);
-  }
-
-  const std::vector<std::uint32_t> assignment = ml::assign_to_centroids(
-      normalized, trained.centroids, threads, config.kmeans_assign);
-
-  // --- Residuals against the float cell centers (what snapshots carry,
-  // and what queries subtract — build/query geometry matches exactly).
-  MatrixF residuals(rows_, dims_);
-  parallel_for_dynamic(
-      threads, rows_, 0,
-      [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          const auto src = normalized.row(r);
-          const auto dst = residuals.row(r);
-          std::copy(src.begin(), src.end(), dst.begin());
-          kernels::axpy(-1.0f, coarse_.row(assignment[r]).data(), dst.data(),
-                        dims_);
-        }
-      });
-
-  // --- PQ codebooks on sampled residuals, codes for every row. ----------
+  // --- PQ codebooks on the residuals of the core's training sample. -----
+  const std::size_t sample_count =
+      built.sample.empty() ? rows_ : built.sample.size();
   MatrixF pq_sample(sample_count, dims_);
   for (std::size_t i = 0; i < sample_count; ++i) {
-    const std::size_t src = sample.empty() ? i : sample[i];
-    const auto row = residuals.row(src);
-    std::copy(row.begin(), row.end(), pq_sample.row(i).begin());
+    residual(built.sample.empty() ? i : built.sample[i], pq_sample.row(i));
   }
   PqTrainConfig pc;
   pc.m = config.m;
-  pc.kmeans_iterations = std::max<std::size_t>(1, config.kmeans_iterations);
-  pc.kmeans_restarts = std::max<std::size_t>(1, config.kmeans_restarts);
+  pc.kmeans_iterations = kIvfKmeansIterations;
+  pc.kmeans_restarts = kIvfKmeansRestarts;
   pc.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   pc.threads = threads;
   pc.assign = config.kmeans_assign;
   pq_ = pq_train(pq_sample, pc);
 
-  std::vector<std::uint8_t> row_codes(rows_ * pq_.m);
-  pq_encode(pq_, residuals, threads, config.kmeans_assign, row_codes.data());
-
-  // --- Repack codes into contiguous per-list postings (stable by id). ---
-  list_offsets_.assign(nlist + 1, 0);
-  for (const std::uint32_t a : assignment) ++list_offsets_[a + 1];
-  for (std::size_t c = 0; c < nlist; ++c) {
-    list_offsets_[c + 1] += list_offsets_[c];
-  }
+  // --- Residuals in slot order, encoded straight into packed codes. -----
+  const auto ids = core_.ids();
+  MatrixF residuals(rows_, dims_);
+  parallel_for_dynamic(
+      threads, rows_, 0,
+      [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          residual(ids[slot], residuals.row(slot));
+        }
+      });
   codes_owned_.resize(rows_ * pq_.m);
-  ids_owned_.resize(rows_);
-  std::vector<std::size_t> cursor(list_offsets_.begin(),
-                                  list_offsets_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::size_t slot = cursor[assignment[r]]++;
-    ids_owned_[slot] = static_cast<std::uint32_t>(r);
-    std::memcpy(codes_owned_.data() + slot * pq_.m,
-                row_codes.data() + r * pq_.m, pq_.m);
-  }
+  pq_encode(pq_, residuals, threads, config.kmeans_assign,
+            codes_owned_.data());
   codes_ = codes_owned_;
-  ids_ = ids_owned_;
   set_rerank_data(data);
 
   if (config.metrics != nullptr) {
-    config.metrics->gauge("ivfpq.nlist").set(static_cast<double>(nlist));
+    config.metrics->gauge("ivfpq.nlist").set(static_cast<double>(nlist()));
     config.metrics->gauge("ivfpq.m").set(static_cast<double>(pq_.m));
     config.metrics->gauge("ivfpq.build_threads").set(
         static_cast<double>(threads));
@@ -166,7 +91,7 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
   out->rows_ = snap.rows();
   out->dims_ = snap.dimensions();
   out->metric_ = meta.metric;
-  out->nprobe_.store(config.nprobe, std::memory_order_relaxed);
+  out->core_.set_nprobe(config.nprobe);
   out->rerank_.store(config.rerank, std::memory_order_relaxed);
   if (out->rows_ == 0) throw std::invalid_argument("ivfpq: empty snapshot");
 
@@ -177,34 +102,12 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
     bad_sections("qmet shape out of range");
   }
 
-  out->pq_.dims = out->dims_;
-  out->pq_.m = m;
-  out->pq_.ksub = ksub;
-  out->pq_.sub_offset.assign(m + 1, 0);
-  const std::size_t base = out->dims_ / m;
-  const std::size_t extra = out->dims_ % m;
-  for (std::size_t s = 0; s < m; ++s) {
-    out->pq_.sub_offset[s + 1] = out->pq_.sub_offset[s] + base +
-                                 (s < extra ? 1 : 0);
-  }
-
+  out->pq_ = PqCodebooks::layout(out->dims_, m, ksub);
   const auto books = snap.section("pqbk");
   if (books.size() != 256 * out->dims_ * sizeof(float)) {
     bad_sections("pqbk size does not match 256 x dims");
   }
-  out->pq_.books.resize(256 * out->dims_);
-  copy_floats(books, out->pq_.books.data(), out->pq_.books.size());
-
-  const auto coarse = snap.section("pqcc");
-  if (coarse.size() != nlist * out->dims_ * sizeof(float)) {
-    bad_sections("pqcc size does not match nlist x dims");
-  }
-  out->coarse_ = MatrixF(nlist, out->dims_);
-  for (std::size_t c = 0; c < nlist; ++c) {
-    copy_floats(coarse.subspan(c * out->dims_ * sizeof(float),
-                               out->dims_ * sizeof(float)),
-                out->coarse_.row(c).data(), out->dims_);
-  }
+  std::memcpy(out->pq_.books.data(), books.data(), books.size());
 
   const auto codes = snap.section("pqcd");
   if (codes.size() != out->rows_ * m) {
@@ -212,27 +115,8 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
   }
   out->codes_ = codes;  // zero-copy from the mapping
 
-  const auto ids = snap.section("pqid");
-  if (ids.size() != out->rows_ * sizeof(std::uint32_t)) {
-    bad_sections("pqid size does not match rows");
-  }
-  out->ids_ = {reinterpret_cast<const std::uint32_t*>(ids.data()), out->rows_};
-
-  const auto lists = snap.section("pqls");
-  if (lists.size() != (nlist + 1) * sizeof(std::uint64_t)) {
-    bad_sections("pqls size does not match nlist + 1");
-  }
-  out->list_offsets_.resize(nlist + 1);
-  for (std::size_t c = 0; c <= nlist; ++c) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, lists.data() + c * sizeof(std::uint64_t), sizeof(v));
-    out->list_offsets_[c] = static_cast<std::size_t>(v);
-  }
-  if (out->list_offsets_.front() != 0 ||
-      out->list_offsets_.back() != out->rows_ ||
-      !std::is_sorted(out->list_offsets_.begin(), out->list_offsets_.end())) {
-    bad_sections("pqls offsets inconsistent");
-  }
+  out->core_.load(snap.section("pqcc"), snap.section("pqid"),
+                  snap.section("pqls"), nlist, out->rows_, out->dims_);
 
   if (snap.has_floats()) out->set_rerank_data(snap.float_view());
   return out;
@@ -250,27 +134,10 @@ void IvfPqIndex::save_sections(store::SnapshotBuilder& builder) const {
   std::vector<std::uint8_t> books(pq_.books.size() * sizeof(float));
   std::memcpy(books.data(), pq_.books.data(), books.size());
   builder.add_section("pqbk", std::move(books));
-
-  std::vector<std::uint8_t> coarse(nlist() * dims_ * sizeof(float));
-  for (std::size_t c = 0; c < nlist(); ++c) {
-    std::memcpy(coarse.data() + c * dims_ * sizeof(float),
-                coarse_.row(c).data(), dims_ * sizeof(float));
-  }
-  builder.add_section("pqcc", std::move(coarse));
-
+  builder.add_section("pqcc", core_.centroid_bytes());
   builder.add_section("pqcd", {codes_.begin(), codes_.end()});
-
-  std::vector<std::uint8_t> ids(ids_.size() * sizeof(std::uint32_t));
-  std::memcpy(ids.data(), ids_.data(), ids.size());
-  builder.add_section("pqid", std::move(ids));
-
-  std::vector<std::uint8_t> lists(list_offsets_.size() *
-                                  sizeof(std::uint64_t));
-  for (std::size_t c = 0; c < list_offsets_.size(); ++c) {
-    const auto v = static_cast<std::uint64_t>(list_offsets_[c]);
-    std::memcpy(lists.data() + c * sizeof(std::uint64_t), &v, sizeof(v));
-  }
-  builder.add_section("pqls", std::move(lists));
+  builder.add_section("pqid", core_.id_bytes());
+  builder.add_section("pqls", core_.offset_bytes());
 }
 
 void IvfPqIndex::search_into(std::span<const float> query, std::size_t k,
@@ -278,31 +145,9 @@ void IvfPqIndex::search_into(std::span<const float> query, std::size_t k,
   out.clear();
   k = std::min(k, rows_);
   if (k == 0) return;
-  const std::size_t lists = nlist();
   const bool cosine = metric_ == DistanceMetric::kCosine;
-
-  thread_local std::vector<float> qbuf;
-  const float* q = query.data();
-  if (cosine) {
-    qbuf.assign(query.begin(), query.end());
-    normalize(std::span<float>(qbuf));
-    q = qbuf.data();
-  }
-
-  // Rank the coarse cells; probe the nprobe nearest.
-  thread_local std::vector<Neighbor> ranked;
-  ranked.clear();
-  ranked.reserve(lists);
-  for (std::size_t c = 0; c < lists; ++c) {
-    ranked.push_back({static_cast<std::uint32_t>(c),
-                      kernels::sqdist(q, coarse_.row(c).data(), dims_)});
-  }
-  const std::size_t probes = std::min(
-      std::max<std::size_t>(1, nprobe_.load(std::memory_order_relaxed)),
-      lists);
-  std::partial_sort(ranked.begin(),
-                    ranked.begin() + static_cast<std::ptrdiff_t>(probes),
-                    ranked.end(), neighbor_less);
+  const float* q = normalized_query(query, metric_);
+  const auto ids = core_.ids();
 
   thread_local std::vector<float> resq;
   thread_local std::vector<float> lut;
@@ -311,36 +156,22 @@ void IvfPqIndex::search_into(std::span<const float> query, std::size_t k,
   lut.resize(pq_.m * kernels::kPqLutStride);
   scored.clear();
 
-  for (std::size_t p = 0; p < probes; ++p) {
-    const std::size_t list = ranked[p].id;
+  core_.probe(q, [&](std::size_t list, std::size_t begin, std::size_t end) {
     // Query residual against this cell, then its ADC table.
     std::copy(q, q + dims_, resq.begin());
-    kernels::axpy(-1.0f, coarse_.row(list).data(), resq.data(), dims_);
+    kernels::axpy(-1.0f, core_.centroid(list).data(), resq.data(), dims_);
     pq_.build_lut(resq.data(), lut.data());
-    for (std::size_t slot = list_offsets_[list];
-         slot < list_offsets_[list + 1]; ++slot) {
+    for (std::size_t slot = begin; slot < end; ++slot) {
       const std::uint8_t* code = codes_.data() + slot * pq_.m;
       const double adc =
           static_cast<double>(kernels::pq_adc(lut.data(), code, pq_.m));
       // Unit-sphere rows: ||q - x||^2 = 2 (1 - cos), so halving the ADC
       // estimate lands on the cosine-distance scale.
-      scored.push_back({ids_[slot], cosine ? 0.5 * adc : adc});
+      scored.push_back({ids[slot], cosine ? 0.5 * adc : adc});
     }
-  }
-
-  const std::size_t r_depth = rerank_.load(std::memory_order_relaxed);
-  const bool do_rerank = r_depth > 0 && has_floats_;
-  const std::size_t keep =
-      std::min(do_rerank ? std::max(k, r_depth) : k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scored.end(), neighbor_less);
-  scored.resize(keep);
-  if (do_rerank) {
-    exact_rerank(floats_, metric_, query, scored, k);
-  }
-  k = std::min(k, scored.size());
-  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
+  });
+  select_top_k(scored, k, rerank_.load(std::memory_order_relaxed),
+               has_floats_ ? &floats_ : nullptr, metric_, query, out);
 }
 
 double IvfPqIndex::warm_rows(std::size_t begin, std::size_t end) const {
@@ -350,7 +181,7 @@ double IvfPqIndex::warm_rows(std::size_t begin, std::size_t end) const {
     const std::uint8_t* code = codes_.data() + slot * pq_.m;
     std::uint64_t acc = 0;
     for (std::size_t j = 0; j < pq_.m; ++j) acc += code[j];
-    sum += static_cast<double>(acc) + static_cast<double>(ids_[slot]);
+    sum += static_cast<double>(acc) + static_cast<double>(ids()[slot]);
   }
   return sum;
 }
@@ -361,7 +192,7 @@ double IvfPqIndex::bytes_per_vector() const noexcept {
   const double fixed =
       static_cast<double>(pq_.books.size() * sizeof(float)) +
       static_cast<double>(nlist() * dims_ * sizeof(float)) +
-      static_cast<double>(list_offsets_.size() * sizeof(std::uint64_t));
+      static_cast<double>((nlist() + 1) * sizeof(std::uint64_t));
   return per_vector + fixed / static_cast<double>(rows_);
 }
 

@@ -1,28 +1,29 @@
-// IVF-PQ: the inverted-file layout of IvfIndex with product-quantized
-// residuals instead of float rows — m bytes per vector instead of
-// 4 * dims, the memory-bound serving configuration.
+// IVF-PQ: the shared IvfCore (coarse quantizer, posting lists, probe
+// loop) with product-quantized residuals in the slots instead of float
+// rows — m bytes per vector instead of 4 * dims, the memory-bound serving
+// configuration.
 //
-// Build: coarse k-means exactly like IvfIndex (sampled training, exact
-// engine assignment), then every row's residual against its coarse cell
-// (row - coarse_row) is product-quantized: per-subspace codebooks trained
-// on sampled residuals, codes assigned by the same exact engine, packed
-// into posting lists grouped by cell. Both passes run under
+// Build: the core trains and assigns exactly as for IvfIndex; every row's
+// residual against its coarse cell (row - coarse_row) is then
+// product-quantized: per-subspace codebooks trained on the residuals of
+// the core's training sample, codes assigned by the exact k-means engine
+// and repacked into slot order. Both passes run under
 // parallel_for_dynamic's fixed-grain contract, so codes are byte-identical
 // across thread counts.
 //
-// Query: rank coarse cells by squared distance, and for each of the
-// `nprobe` nearest build the ADC lookup table over the query residual
-// (q - coarse_row): lut[s][c] = sqdist of subvector s against codeword c.
-// Scanning a list is then kernels::pq_adc per code — m table gathers, no
-// float row traffic. ||q - x||^2 = ||(q - c) - (x - c)||^2, so the ADC sum
-// approximates the true squared distance; for cosine (unit rows) distance
-// is adc / 2, which matches 1 - cos up to quantization error.
+// Query: for each probed cell build the ADC lookup table over the query
+// residual (q - coarse_row): lut[s][c] = sqdist of subvector s against
+// codeword c. Scanning a list is then kernels::pq_adc per code — m table
+// gathers, no float row traffic. ||q - x||^2 = ||(q - c) - (x - c)||^2, so
+// the ADC sum approximates the true squared distance; for cosine (unit
+// rows) distance is adc / 2, which matches 1 - cos up to quantization
+// error.
 //
 // The optional exact-rerank stage re-scores the top-R candidates against
 // the float matrix (when attached) with FlatIndex's formulas — the
-// memory-for-recall knob the ISSUE's serving scenario needs. Everything
-// round-trips through snapshot v2 sections ("qmet"/"pqbk"/"pqcc"/"pqcd"/
-// "pqid"/"pqls"), served straight from the mapping.
+// memory-for-recall knob of the serving path. Everything round-trips
+// through snapshot v2 sections ("qmet"/"pqbk"/"pqcc"/"pqcd"/"pqid"/
+// "pqls"), served straight from the mapping.
 #pragma once
 
 #include <atomic>
@@ -32,15 +33,10 @@
 #include <span>
 #include <vector>
 
-#include "v2v/common/matrix.hpp"
+#include "v2v/index/ivf_core.hpp"
 #include "v2v/index/quantizer.hpp"
 #include "v2v/index/vector_index.hpp"
-#include "v2v/ml/kmeans.hpp"
 #include "v2v/store/embedding_view.hpp"
-
-namespace v2v::obs {
-class MetricsRegistry;
-}  // namespace v2v::obs
 
 namespace v2v::store {
 class SnapshotBuilder;
@@ -49,24 +45,13 @@ class MappedSnapshot;
 
 namespace v2v::index {
 
-struct IvfPqConfig {
-  /// Posting lists (coarse cells); 0 picks ~sqrt(rows).
-  std::size_t nlist = 0;
-  /// Lists scanned per query; clamped to nlist.
-  std::size_t nprobe = 8;
+/// The coarse fields come from IvfConfig; `metrics` records ivfpq.*
+/// gauges and an "ivfpq_build" span.
+struct IvfPqConfig : IvfConfig {
   /// PQ subspaces (bytes per vector); clamped to [1, dims].
   std::size_t m = 8;
   /// Exact-rerank depth over the float matrix; 0 disables.
   std::size_t rerank = 0;
-  /// Rows sampled for coarse + PQ training; 0 or >= rows uses everything.
-  std::size_t train_sample = 20000;
-  std::size_t kmeans_iterations = 15;
-  std::size_t kmeans_restarts = 1;
-  std::uint64_t seed = 1;
-  std::size_t threads = 1;
-  ml::KMeansAssign kmeans_assign = ml::KMeansAssign::kHamerly;
-  /// Optional observability sink (ivfpq.* gauges + "ivfpq_build" span).
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class IvfPqIndex final : public VectorIndex {
@@ -99,18 +84,10 @@ class IvfPqIndex final : public VectorIndex {
                    std::vector<Neighbor>& out) const override;
   double warm_rows(std::size_t begin, std::size_t end) const override;
 
-  [[nodiscard]] std::size_t nlist() const noexcept {
-    return list_offsets_.size() - 1;
-  }
-  [[nodiscard]] std::size_t list_size(std::size_t list) const noexcept {
-    return list_offsets_[list + 1] - list_offsets_[list];
-  }
-  void set_nprobe(std::size_t nprobe) noexcept {
-    nprobe_.store(nprobe, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t nprobe() const noexcept {
-    return nprobe_.load(std::memory_order_relaxed);
-  }
+  /// Coarse quantizer and posting lists (slot -> row id, list offsets).
+  [[nodiscard]] const IvfCore& core() const noexcept { return core_; }
+  [[nodiscard]] std::size_t nlist() const noexcept { return core_.nlist(); }
+  void set_nprobe(std::size_t nprobe) noexcept { core_.set_nprobe(nprobe); }
   void set_rerank_data(store::EmbeddingView floats) noexcept {
     floats_ = floats;
     has_floats_ = true;
@@ -130,25 +107,21 @@ class IvfPqIndex final : public VectorIndex {
     return codes_;
   }
   [[nodiscard]] std::span<const std::uint32_t> ids() const noexcept {
-    return ids_;
+    return core_.ids();
   }
   [[nodiscard]] std::span<const std::size_t> list_offsets() const noexcept {
-    return list_offsets_;
+    return core_.list_offsets();
   }
 
  private:
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
   DistanceMetric metric_ = DistanceMetric::kCosine;
-  std::atomic<std::size_t> nprobe_{8};
   std::atomic<std::size_t> rerank_{0};
-  MatrixF coarse_;  ///< nlist x dims cell centers (float, snapshot truth)
+  IvfCore core_;
   PqCodebooks pq_;
   std::vector<std::uint8_t> codes_owned_;  ///< empty when snapshot-backed
-  std::span<const std::uint8_t> codes_;    ///< rows x m, grouped by list
-  std::vector<std::uint32_t> ids_owned_;
-  std::span<const std::uint32_t> ids_;     ///< packed slot -> original id
-  std::vector<std::size_t> list_offsets_;  ///< nlist + 1 prefix offsets
+  std::span<const std::uint8_t> codes_;    ///< rows x m, in slot order
   store::EmbeddingView floats_;            ///< rerank source (optional)
   bool has_floats_ = false;
 };

@@ -7,6 +7,7 @@
 #include "v2v/common/check.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/thread_pool.hpp"
+#include "v2v/common/vec_math.hpp"
 #include "v2v/store/snapshot.hpp"
 
 namespace v2v::index {
@@ -47,22 +48,26 @@ void Sq8Quantizer::encode_row(std::span<const float> row,
   }
 }
 
-PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
-  V2V_CHECK(train.rows() > 0, "pq: empty training matrix");
+PqCodebooks PqCodebooks::layout(std::size_t dims, std::size_t m,
+                                std::size_t ksub) {
   PqCodebooks pq;
-  pq.dims = train.cols();
-  pq.m = std::clamp<std::size_t>(config.m, 1, pq.dims);
-  pq.ksub = std::min<std::size_t>(256, train.rows());
-
-  // Unequal split: the first dims % m subspaces get one extra dimension.
+  pq.dims = dims;
+  pq.m = std::clamp<std::size_t>(m, 1, dims);
+  pq.ksub = ksub;
   pq.sub_offset.assign(pq.m + 1, 0);
-  const std::size_t base = pq.dims / pq.m;
-  const std::size_t extra = pq.dims % pq.m;
+  const std::size_t base = dims / pq.m;
+  const std::size_t extra = dims % pq.m;
   for (std::size_t s = 0; s < pq.m; ++s) {
     pq.sub_offset[s + 1] = pq.sub_offset[s] + base + (s < extra ? 1 : 0);
   }
+  pq.books.assign(256 * dims, 0.0f);
+  return pq;
+}
 
-  pq.books.assign(256 * pq.dims, 0.0f);
+PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
+  V2V_CHECK(train.rows() > 0, "pq: empty training matrix");
+  PqCodebooks pq = PqCodebooks::layout(
+      train.cols(), config.m, std::min<std::size_t>(256, train.rows()));
   for (std::size_t s = 0; s < pq.m; ++s) {
     const std::size_t d = pq.sub_dim(s);
     MatrixF sub(train.rows(), d);
@@ -202,6 +207,48 @@ void exact_rerank(const store::EmbeddingView& floats, DistanceMetric metric,
   std::partial_sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k),
                     cand.end(), neighbor_less);
   cand.resize(k);
+}
+
+MatrixF normalized_rows(const store::EmbeddingView& data,
+                        DistanceMetric metric, std::size_t threads) {
+  const bool cosine = metric == DistanceMetric::kCosine;
+  MatrixF out(data.rows(), data.dimensions());
+  parallel_for_dynamic(std::max<std::size_t>(1, threads), data.rows(), 0,
+                       [&](std::size_t, std::size_t, std::size_t begin,
+                           std::size_t end) {
+                         for (std::size_t r = begin; r < end; ++r) {
+                           const auto src = data.row(r);
+                           const auto dst = out.row(r);
+                           std::copy(src.begin(), src.end(), dst.begin());
+                           if (cosine) normalize(dst);
+                         }
+                       });
+  return out;
+}
+
+const float* normalized_query(std::span<const float> query,
+                              DistanceMetric metric) {
+  if (metric != DistanceMetric::kCosine) return query.data();
+  thread_local std::vector<float> buf;
+  buf.assign(query.begin(), query.end());
+  normalize(std::span<float>(buf));
+  return buf.data();
+}
+
+void select_top_k(std::vector<Neighbor>& scored, std::size_t k,
+                  std::size_t rerank, const store::EmbeddingView* floats,
+                  DistanceMetric metric, std::span<const float> query,
+                  std::vector<Neighbor>& out) {
+  const bool do_rerank = rerank > 0 && floats != nullptr;
+  const std::size_t keep =
+      std::min(do_rerank ? std::max(k, rerank) : k, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
+                    scored.end(), neighbor_less);
+  scored.resize(keep);
+  if (do_rerank) exact_rerank(*floats, metric, query, scored, k);
+  k = std::min(k, scored.size());
+  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
 }  // namespace v2v::index

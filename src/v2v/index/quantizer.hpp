@@ -67,6 +67,11 @@ struct PqCodebooks {
   std::vector<std::size_t> sub_offset;   ///< m + 1 dimension boundaries
   AlignedVector<float> books;            ///< subspace-major, 256 rows each
 
+  /// Shape with zeroed books: m clamped to [1, dims], the first dims % m
+  /// subspaces one dimension wider than the rest.
+  [[nodiscard]] static PqCodebooks layout(std::size_t dims, std::size_t m,
+                                          std::size_t ksub);
+
   [[nodiscard]] std::size_t sub_dim(std::size_t s) const noexcept {
     return sub_offset[s + 1] - sub_offset[s];
   }
@@ -111,6 +116,28 @@ inline constexpr std::uint32_t kQuantKindIvfPq = 2;
 [[nodiscard]] std::vector<std::uint8_t> encode_quant_meta(const QuantMeta& meta);
 /// Throws store::SnapshotError(kBadHeader) on malformed payloads.
 [[nodiscard]] QuantMeta decode_quant_meta(std::span<const std::uint8_t> bytes);
+
+/// Metric-normalized copy of every row of `data`, parallel over rows:
+/// cosine rows are L2-normalized (zero rows stay zero, so their cosine
+/// distance to anything comes out as the conventional 1), Euclidean rows
+/// are copied verbatim. The build input of every index that scans in
+/// normalized space (IVF, IVF-PQ, SQ8).
+[[nodiscard]] MatrixF normalized_rows(const store::EmbeddingView& data,
+                                      DistanceMetric metric,
+                                      std::size_t threads);
+
+/// The query-side twin of normalized_rows: `query` itself for Euclidean,
+/// else a thread-local normalized copy valid until this thread's next call.
+[[nodiscard]] const float* normalized_query(std::span<const float> query,
+                                            DistanceMetric metric);
+
+/// The quantized-scan tail: keeps the top max(k, rerank) of `scored`,
+/// re-scores them against `floats` with exact_rerank when `rerank > 0`
+/// and `floats` is set, and writes the top-k into `out`.
+void select_top_k(std::vector<Neighbor>& scored, std::size_t k,
+                  std::size_t rerank, const store::EmbeddingView* floats,
+                  DistanceMetric metric, std::span<const float> query,
+                  std::vector<Neighbor>& out);
 
 /// Recomputes exact float distances (FlatIndex's formulas, same rounding)
 /// for the candidate ids in `cand` against `floats`, then keeps the top-k

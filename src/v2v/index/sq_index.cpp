@@ -6,7 +6,6 @@
 
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/thread_pool.hpp"
-#include "v2v/common/vec_math.hpp"
 #include "v2v/store/snapshot.hpp"
 
 namespace v2v::index {
@@ -24,23 +23,8 @@ SqIndex::SqIndex(store::EmbeddingView data, DistanceMetric metric,
     : rows_(data.rows()), dims_(data.dimensions()), metric_(metric),
       rerank_(config.rerank) {
   if (rows_ == 0) throw std::invalid_argument("sq8: empty embedding");
-  const bool cosine = metric_ == DistanceMetric::kCosine;
   const std::size_t threads = std::max<std::size_t>(1, config.threads);
-
-  // Metric-normalized working copy, same convention as IvfIndex: cosine
-  // rows are unit (zero rows stay zero), Euclidean rows verbatim.
-  MatrixF normalized(rows_, dims_);
-  parallel_for_dynamic(threads, rows_, 0,
-                       [&](std::size_t, std::size_t, std::size_t begin,
-                           std::size_t end) {
-                         for (std::size_t r = begin; r < end; ++r) {
-                           const auto src = data.row(r);
-                           const auto dst = normalized.row(r);
-                           std::copy(src.begin(), src.end(), dst.begin());
-                           if (cosine) normalize(dst);
-                         }
-                       });
-
+  const MatrixF normalized = normalized_rows(data, metric_, threads);
   quant_ = Sq8Quantizer::train(normalized);
   codes_owned_.resize(rows_ * dims_);
   parallel_for_dynamic(threads, rows_, 0,
@@ -111,14 +95,7 @@ void SqIndex::search_into(std::span<const float> query, std::size_t k,
   k = std::min(k, rows_);
   if (k == 0) return;
   const bool cosine = metric_ == DistanceMetric::kCosine;
-
-  thread_local std::vector<float> qbuf;
-  const float* q = query.data();
-  if (cosine) {
-    qbuf.assign(query.begin(), query.end());
-    normalize(std::span<float>(qbuf));
-    q = qbuf.data();
-  }
+  const float* q = normalized_query(query, metric_);
 
   thread_local std::vector<Neighbor> scored;
   scored.clear();
@@ -135,19 +112,8 @@ void SqIndex::search_into(std::span<const float> query, std::size_t k,
     scored.push_back({static_cast<std::uint32_t>(r), dist});
   }
 
-  const std::size_t r_depth = rerank_.load(std::memory_order_relaxed);
-  const bool do_rerank = r_depth > 0 && has_floats_;
-  const std::size_t keep =
-      std::min(do_rerank ? std::max(k, r_depth) : k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scored.end(), neighbor_less);
-  scored.resize(keep);
-  if (do_rerank) {
-    exact_rerank(floats_, metric_, query, scored, k);
-  }
-  k = std::min(k, scored.size());
-  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
+  select_top_k(scored, k, rerank_.load(std::memory_order_relaxed),
+               has_floats_ ? &floats_ : nullptr, metric_, query, out);
 }
 
 double SqIndex::warm_rows(std::size_t begin, std::size_t end) const {

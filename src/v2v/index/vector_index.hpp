@@ -1,15 +1,18 @@
 // The ANN serving layer's core abstraction: a VectorIndex answers top-k
-// nearest-neighbor queries over an EmbeddingView. Two implementations ship
-// (paper §V serves k-NN feature prediction; the ROADMAP north star needs
-// it at traffic scale):
+// nearest-neighbor queries over an EmbeddingView (paper §V serves k-NN
+// feature prediction; the ROADMAP north star needs it at traffic scale).
+// Four implementations ship:
 //
-//   FlatIndex  exact brute-force scan on the kernels:: layer — the
-//              correctness oracle every approximate index is measured
-//              against, and the engine behind KnnClassifier.
-//   IvfIndex   inverted-file index: a coarse k-means quantizer partitions
-//              the rows into nlist posting lists; a query scans only the
-//              nprobe nearest lists. Approximate — recall is traded
-//              against QPS through nprobe.
+//   FlatIndex   exact brute-force scan on the kernels:: layer — the
+//               correctness oracle every approximate index is measured
+//               against, and the engine behind KnnClassifier.
+//   IvfIndex    IvfCore (coarse k-means quantizer, posting lists, probe
+//               loop) over float rows; a query scans the nprobe nearest
+//               lists, trading recall for QPS.
+//   IvfPqIndex  the same IvfCore over product-quantized residuals (m
+//               bytes per row), with optional exact rerank.
+//   SqIndex     flat scan over 8-bit scalar-quantized rows, with
+//               optional exact rerank.
 //
 // Distances are doubles: cosine distance in [0, 2] (zero vectors are
 // maximally distant, matching common/vec_math.hpp) or squared Euclidean.

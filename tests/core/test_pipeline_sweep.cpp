@@ -4,6 +4,9 @@
 // "no configuration silently broken" safety net.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "v2v/core/analysis.hpp"
 #include "v2v/core/v2v.hpp"
 #include "v2v/graph/generators.hpp"
@@ -11,13 +14,27 @@
 namespace v2v {
 namespace {
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// carries its padding as zeroed members: the test names stay the same from
+// build to build.
 struct PipelineCase {
+  PipelineCase(walk::StepBias bias_, embed::Architecture architecture_,
+               embed::Objective objective_, bool streaming_, std::uint64_t seed_)
+      : bias(bias_),
+        architecture(architecture_),
+        objective(objective_),
+        streaming(streaming_),
+        seed(seed_) {}
+
   walk::StepBias bias;
   embed::Architecture architecture;
   embed::Objective objective;
   bool streaming;
+  std::uint8_t reserved[4] = {};
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PipelineCase>,
+              "PipelineCase must have no padding bytes");
 
 class FullPipelineSweep : public ::testing::TestWithParam<PipelineCase> {};
 

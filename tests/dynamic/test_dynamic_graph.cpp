@@ -72,7 +72,9 @@ TEST(DynamicGraph, MergedAdjacencyMatchesFreshCsr) {
       const auto weights = fresh.arc_weights(v);
       for (std::size_t i = 0; i < merged.size(); ++i) {
         EXPECT_EQ(merged[i].target, targets[i]);
-        if (!weights.empty()) EXPECT_EQ(merged[i].weight, weights[i]);
+        if (!weights.empty()) {
+          EXPECT_EQ(merged[i].weight, weights[i]);
+        }
       }
     }
   }

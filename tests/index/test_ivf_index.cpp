@@ -1,16 +1,20 @@
 // IvfIndex behaviour: recall against the FlatIndex oracle on planted
-// clusters, the nprobe knob, list bookkeeping, and build-time metrics.
+// clusters, the nprobe knob, list bookkeeping, and build-time metrics;
+// IvfCore's snapshot payload round trip and its rejection of bad ones.
 #include "v2v/index/ivf_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "v2v/common/rng.hpp"
 #include "v2v/index/flat_index.hpp"
+#include "v2v/index/ivf_core.hpp"
 #include "v2v/obs/metrics.hpp"
+#include "v2v/store/snapshot.hpp"
 
 namespace v2v::index {
 namespace {
@@ -160,6 +164,48 @@ TEST(IvfIndex, RecordsBuildMetrics) {
   EXPECT_EQ(snap.counters.at("ivf.rows"), 300u);
   EXPECT_GE(snap.gauges.at("ivf.build_seconds"), 0.0);
   EXPECT_EQ(snap.histograms.at("ivf.list_size").count, 6u);
+}
+
+TEST(IvfCore, PayloadsRoundTripAndBadOnesAreRejected) {
+  const MatrixF points = planted_clusters(400, 8, 4, 13);
+  IvfCore built;
+  IvfConfig config;
+  config.nlist = 5;
+  (void)built.build(points, config);
+  const auto centroids = built.centroid_bytes();
+  const auto ids = built.id_bytes();
+  const auto offsets = built.offset_bytes();
+
+  IvfCore loaded;
+  loaded.load(centroids, ids, offsets, 5, 400, 8);
+  EXPECT_TRUE(std::ranges::equal(loaded.ids(), built.ids()));
+  EXPECT_TRUE(std::ranges::equal(loaded.list_offsets(), built.list_offsets()));
+  EXPECT_EQ(loaded.centroid_bytes(), centroids);
+
+  const auto rejects = [&](const std::vector<std::uint8_t>& c,
+                           const std::vector<std::uint8_t>& i,
+                           const std::vector<std::uint8_t>& o) {
+    IvfCore core;
+    try {
+      core.load(c, i, o, 5, 400, 8);
+    } catch (const store::SnapshotError& e) {
+      return e.code() == store::SnapshotErrorCode::kBadHeader;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects({centroids.begin(), centroids.end() - 4}, ids, offsets));
+  EXPECT_TRUE(rejects(centroids, {ids.begin(), ids.end() - 4}, offsets));
+  EXPECT_TRUE(rejects(centroids, ids, {offsets.begin(), offsets.end() - 8}));
+
+  auto bad_id = ids;
+  const std::uint32_t past_end = 400;  // the first id that is not a row
+  std::memcpy(bad_id.data() + 8, &past_end, sizeof(past_end));
+  EXPECT_TRUE(rejects(centroids, bad_id, offsets));
+
+  auto unsorted = offsets;
+  const std::uint64_t too_far = 401;
+  std::memcpy(unsorted.data() + 8, &too_far, sizeof(too_far));
+  EXPECT_TRUE(rejects(centroids, ids, unsorted));
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "v2v/common/rng.hpp"
@@ -13,11 +15,20 @@
 namespace v2v::index {
 namespace {
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// carries its padding as zeroed members: the test names stay the same from
+// build to build.
 struct OracleCase {
+  OracleCase(std::uint64_t seed_, DistanceMetric metric_, std::size_t k_)
+      : seed(seed_), metric(metric_), k(k_) {}
+
   std::uint64_t seed;
   DistanceMetric metric;
+  std::uint8_t reserved[7] = {};
   std::size_t k;
 };
+static_assert(std::has_unique_object_representations_v<OracleCase>,
+              "OracleCase must have no padding bytes");
 
 class KnnOracleSweep : public ::testing::TestWithParam<OracleCase> {};
 
@@ -51,7 +62,10 @@ std::uint32_t naive_predict(const MatrixF& points,
 }
 
 TEST_P(KnnOracleSweep, MatchesNaiveReference) {
-  const auto [seed, metric, k] = GetParam();
+  const auto& param = GetParam();
+  const auto seed = param.seed;
+  const auto metric = param.metric;
+  const auto k = param.k;
   Rng rng(seed);
   constexpr std::size_t kTrain = 60;
   constexpr std::size_t kDims = 5;

@@ -17,6 +17,8 @@
 
 #include "v2v/common/rng.hpp"
 #include "v2v/index/flat_index.hpp"
+#include "v2v/index/ivf_core.hpp"
+#include "v2v/index/ivf_index.hpp"
 #include "v2v/index/ivfpq_index.hpp"
 #include "v2v/index/quantizer.hpp"
 #include "v2v/index/sq_index.hpp"
@@ -286,6 +288,68 @@ TEST_F(QuantIndexTest, IvfPqSnapshotRoundTripIsBitExact) {
                          DistanceMetric::kEuclidean);
   loaded->set_nprobe(10);
   EXPECT_GE(recall_against(oracle, *loaded, queries, 10), 0.9);
+}
+
+TEST(QuantIndex, IvfPqSharesIvfIndexPostingLists) {
+  // One coarse config, two codecs: the posting lists come from the same
+  // core, so slot order and list boundaries must agree exactly.
+  const MatrixF points = planted_clusters(1500, 16, 8, 29);
+  const auto view = store::EmbeddingView::of(points);
+  for (const auto metric :
+       {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
+    IvfConfig coarse;
+    coarse.nlist = 12;
+    coarse.seed = 31;
+    coarse.threads = 2;
+    const IvfIndex ivf(view, metric, coarse);
+    const IvfPqIndex ivfpq(view, metric, IvfPqConfig{coarse});
+    ASSERT_EQ(ivf.nlist(), 12u);
+    EXPECT_TRUE(std::ranges::equal(ivf.core().list_offsets(),
+                                   ivfpq.list_offsets()))
+        << "metric=" << static_cast<int>(metric);
+    EXPECT_TRUE(std::ranges::equal(ivf.core().ids(), ivfpq.ids()))
+        << "metric=" << static_cast<int>(metric);
+  }
+}
+
+TEST_F(QuantIndexTest, IvfPqSnapshotRejectsForgedPostingId) {
+  const MatrixF points = planted_clusters(2000, 16, 8, 37);
+  IvfPqConfig config;
+  config.nlist = 16;
+  config.seed = 41;
+  const IvfPqIndex built(store::EmbeddingView::of(points),
+                         DistanceMetric::kEuclidean, config);
+  store::SnapshotBuilder honest(points.rows(), points.cols());
+  built.save_sections(honest);
+  const auto good = path("good.v2vsnap");
+  honest.write(good);
+
+  // Re-emit every section through a fresh builder (so every checksum is
+  // valid) with the first posting id pointing far past the last row.
+  const auto snap = store::MappedSnapshot::open(good);
+  store::SnapshotBuilder forger(points.rows(), points.cols());
+  forger.set_float_matrix(store::EmbeddingView::of(points));
+  for (const auto& section : snap.sections()) {
+    const auto bytes = snap.section(section.name);
+    std::vector<std::uint8_t> payload(bytes.begin(), bytes.end());
+    if (section.name == "pqid") {
+      const std::uint32_t forged = 4000000000U;
+      std::memcpy(payload.data(), &forged, sizeof(forged));
+    }
+    forger.add_section(section.name, std::move(payload));
+  }
+  const auto bad = path("forged.v2vsnap");
+  forger.write(bad);
+
+  const auto forged = store::MappedSnapshot::open(bad);
+  IvfPqConfig lc;
+  lc.rerank = 20;
+  try {
+    (void)IvfPqIndex::from_snapshot(forged, lc);
+    ADD_FAILURE() << "from_snapshot accepted a posting id >= rows";
+  } catch (const store::SnapshotError& e) {
+    EXPECT_EQ(e.code(), store::SnapshotErrorCode::kBadHeader);
+  }
 }
 
 TEST(QuantIndex, BytesPerVectorBeatFloatBudget) {
