@@ -352,9 +352,7 @@ void BM_ClientRoundTrip(benchmark::State& state) {
   const index::FlatIndex flat(store::EmbeddingView::of(points),
                               index::DistanceMetric::kEuclidean);
   const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
-  serve::ServerConfig config;
-  config.batch.max_linger = std::chrono::microseconds(0);
-  serve::Server server(engine, config);
+  serve::Server server(engine);
   auto client = serve::Client::connect(server.host(), server.port());
   std::size_t i = 0;
   for (auto _ : state) {

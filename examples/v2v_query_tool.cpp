@@ -209,8 +209,6 @@ serve::BatchQueueConfig batch_config_from(const CliArgs& args,
                                           obs::MetricsRegistry& metrics) {
   serve::BatchQueueConfig config;
   config.max_batch = static_cast<std::size_t>(args.get_int("batch", 64));
-  config.max_linger =
-      std::chrono::microseconds(args.get_int("linger-us", 200));
   config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 4096));
   config.default_deadline =
       std::chrono::milliseconds(args.get_int("deadline-ms", 1000));
@@ -464,7 +462,6 @@ void usage() {
       "                       stdin/--queries mode\n"
       "  --host=H             bind address (default 127.0.0.1)\n"
       "  --batch=N            max requests coalesced per engine batch (64)\n"
-      "  --linger-us=N        max wait to fill a batch, microseconds (200)\n"
       "  --queue=N            admission queue bound; beyond it requests are\n"
       "                       rejected with overloaded + Retry-After (4096)\n"
       "  --deadline-ms=N      default per-request deadline; 0 disables (1000)\n"
@@ -516,7 +513,7 @@ int main(int argc, char** argv) {
       return check_flags(args, {"index", "metric", "k", "nlist", "nprobe",
                                 "rerank", "threads", "build-threads",
                                 "queries", "no-mmap", "metrics-out", "port",
-                                "host", "batch", "linger-us", "queue",
+                                "host", "batch", "queue",
                                 "deadline-ms", "max-conns"})
                  ? cmd_serve(args)
                  : 2;

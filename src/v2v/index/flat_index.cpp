@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "v2v/common/kernels.hpp"
+#include "v2v/index/top_k.hpp"
 
 namespace v2v::index {
 
@@ -24,10 +25,7 @@ void FlatIndex::search_into(std::span<const float> query, std::size_t k,
   k = std::min(k, data_.rows());
   if (k == 0) return;
 
-  thread_local std::vector<Neighbor> scored;
-  scored.clear();
-  scored.reserve(data_.rows());
-
+  TopK top(out, k);
   const float* q = query.data();
   const std::size_t d = data_.dimensions();
   if (metric_ == DistanceMetric::kCosine) {
@@ -42,18 +40,15 @@ void FlatIndex::search_into(std::span<const float> query, std::size_t k,
           (nq == 0.0 || nr == 0.0)
               ? 1.0
               : 1.0 - kernels::ddot(q, data_.row(r).data(), d) / (nq * nr);
-      scored.push_back({static_cast<std::uint32_t>(r), dist});
+      top.push(static_cast<std::uint32_t>(r), dist);
     }
   } else {
     for (std::size_t r = 0; r < data_.rows(); ++r) {
-      scored.push_back({static_cast<std::uint32_t>(r),
-                        kernels::sqdist(q, data_.row(r).data(), d)});
+      top.push(static_cast<std::uint32_t>(r),
+               kernels::sqdist(q, data_.row(r).data(), d));
     }
   }
-
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k),
-                    scored.end(), neighbor_less);
-  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
+  top.sort();
 }
 
 double FlatIndex::warm_rows(std::size_t begin, std::size_t end) const {

@@ -22,6 +22,7 @@
 
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/matrix.hpp"
+#include "v2v/index/top_k.hpp"
 #include "v2v/index/vector_index.hpp"
 #include "v2v/ml/kmeans.hpp"
 
@@ -88,19 +89,15 @@ class IvfCore {
   template <typename ScanList>
   void probe(const float* q, ScanList&& scan_list) const {
     const std::size_t lists = nlist();
-    thread_local std::vector<Neighbor> ranked;
-    ranked.clear();
-    ranked.reserve(lists);
-    for (std::size_t c = 0; c < lists; ++c) {
-      ranked.push_back(
-          {static_cast<std::uint32_t>(c),
-           kernels::sqdist(q, centroids_.row(c).data(), centroids_.cols())});
-    }
     const std::size_t probes =
         std::min(std::max<std::size_t>(1, nprobe()), lists);
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(probes),
-                      ranked.end(), neighbor_less);
+    thread_local std::vector<Neighbor> ranked;
+    TopK top(ranked, probes);
+    for (std::size_t c = 0; c < lists; ++c) {
+      top.push(static_cast<std::uint32_t>(c),
+               kernels::sqdist(q, centroids_.row(c).data(), centroids_.cols()));
+    }
+    top.sort();
     for (std::size_t p = 0; p < probes; ++p) {
       const std::size_t list = ranked[p].id;
       scan_list(list, list_offsets_[list], list_offsets_[list + 1]);

@@ -5,6 +5,7 @@
 
 #include "v2v/common/kernels.hpp"
 #include "v2v/index/quantizer.hpp"
+#include "v2v/index/top_k.hpp"
 #include "v2v/obs/metrics.hpp"
 
 namespace v2v::index {
@@ -51,17 +52,15 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
   const float* q = normalized_query(query, metric_);
   const auto ids = core_.ids();
 
-  thread_local std::vector<Neighbor> scored;
-  scored.clear();
+  TopK top(out, k);
   core_.probe(q, [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t slot = begin; slot < end; ++slot) {
       const float* row = slot_rows_.row(slot).data();
-      const double dist = cosine ? 1.0 - kernels::ddot(q, row, dims_)
-                                 : kernels::sqdist(q, row, dims_);
-      scored.push_back({ids[slot], dist});
+      top.push(ids[slot], cosine ? 1.0 - kernels::ddot(q, row, dims_)
+                                 : kernels::sqdist(q, row, dims_));
     }
   });
-  select_top_k(scored, k, 0, nullptr, metric_, query, out);
+  top.sort();
 }
 
 double IvfIndex::warm_rows(std::size_t begin, std::size_t end) const {

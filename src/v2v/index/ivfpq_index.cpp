@@ -21,8 +21,7 @@ namespace {
 
 IvfPqIndex::IvfPqIndex(store::EmbeddingView data, DistanceMetric metric,
                        IvfPqConfig config)
-    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric),
-      rerank_(config.rerank) {
+    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric) {
   if (rows_ == 0) throw std::invalid_argument("ivfpq: empty embedding");
   const obs::ScopedTimer span(config.metrics, "ivfpq_build");
   const std::size_t threads = std::max<std::size_t>(1, config.threads);
@@ -70,6 +69,7 @@ IvfPqIndex::IvfPqIndex(store::EmbeddingView data, DistanceMetric metric,
             codes_owned_.data());
   codes_ = codes_owned_;
   set_rerank_data(data);
+  set_rerank(config.rerank);
 
   if (config.metrics != nullptr) {
     config.metrics->gauge("ivfpq.nlist").set(static_cast<double>(nlist()));
@@ -92,7 +92,7 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
   out->dims_ = snap.dimensions();
   out->metric_ = meta.metric;
   out->core_.set_nprobe(config.nprobe);
-  out->rerank_.store(config.rerank, std::memory_order_relaxed);
+  out->set_rerank(config.rerank);
   if (out->rows_ == 0) throw std::invalid_argument("ivfpq: empty snapshot");
 
   const auto m = static_cast<std::size_t>(meta.m);
@@ -151,27 +151,25 @@ void IvfPqIndex::search_into(std::span<const float> query, std::size_t k,
 
   thread_local std::vector<float> resq;
   thread_local std::vector<float> lut;
-  thread_local std::vector<Neighbor> scored;
   resq.resize(dims_);
   lut.resize(pq_.m * kernels::kPqLutStride);
-  scored.clear();
 
-  core_.probe(q, [&](std::size_t list, std::size_t begin, std::size_t end) {
-    // Query residual against this cell, then its ADC table.
-    std::copy(q, q + dims_, resq.begin());
-    kernels::axpy(-1.0f, core_.centroid(list).data(), resq.data(), dims_);
-    pq_.build_lut(resq.data(), lut.data());
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      const std::uint8_t* code = codes_.data() + slot * pq_.m;
-      const double adc =
-          static_cast<double>(kernels::pq_adc(lut.data(), code, pq_.m));
-      // Unit-sphere rows: ||q - x||^2 = 2 (1 - cos), so halving the ADC
-      // estimate lands on the cosine-distance scale.
-      scored.push_back({ids[slot], cosine ? 0.5 * adc : adc});
-    }
+  rerank_.select(query, k, metric_, out, [&](TopK& top) {
+    core_.probe(q, [&](std::size_t list, std::size_t begin, std::size_t end) {
+      // Query residual against this cell, then its ADC table.
+      std::copy(q, q + dims_, resq.begin());
+      kernels::axpy(-1.0f, core_.centroid(list).data(), resq.data(), dims_);
+      pq_.build_lut(resq.data(), lut.data());
+      for (std::size_t slot = begin; slot < end; ++slot) {
+        const std::uint8_t* code = codes_.data() + slot * pq_.m;
+        const double adc =
+            static_cast<double>(kernels::pq_adc(lut.data(), code, pq_.m));
+        // Unit-sphere rows: ||q - x||^2 = 2 (1 - cos), so halving the ADC
+        // estimate lands on the cosine-distance scale.
+        top.push(ids[slot], cosine ? 0.5 * adc : adc);
+      }
+    });
   });
-  select_top_k(scored, k, rerank_.load(std::memory_order_relaxed),
-               has_floats_ ? &floats_ : nullptr, metric_, query, out);
 }
 
 double IvfPqIndex::warm_rows(std::size_t begin, std::size_t end) const {

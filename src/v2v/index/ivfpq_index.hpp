@@ -26,7 +26,6 @@
 // "pqls"), served straight from the mapping.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -89,20 +88,16 @@ class IvfPqIndex final : public VectorIndex {
   [[nodiscard]] std::size_t nlist() const noexcept { return core_.nlist(); }
   void set_nprobe(std::size_t nprobe) noexcept { core_.set_nprobe(nprobe); }
   void set_rerank_data(store::EmbeddingView floats) noexcept {
-    floats_ = floats;
-    has_floats_ = true;
+    rerank_.set_data(floats);
   }
-  void set_rerank(std::size_t r) noexcept {
-    rerank_.store(r, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t rerank() const noexcept {
-    return rerank_.load(std::memory_order_relaxed);
-  }
+  void set_rerank(std::size_t r) noexcept { rerank_.set_depth(r); }
+  [[nodiscard]] std::size_t rerank() const noexcept { return rerank_.depth(); }
 
   /// Quantized footprint per vector: m code bytes + id + amortized
   /// books/coarse/list-offset overhead.
   [[nodiscard]] double bytes_per_vector() const noexcept;
   [[nodiscard]] std::size_t subspaces() const noexcept { return pq_.m; }
+  [[nodiscard]] const PqCodebooks& codebooks() const noexcept { return pq_; }
   [[nodiscard]] std::span<const std::uint8_t> packed_codes() const noexcept {
     return codes_;
   }
@@ -117,13 +112,11 @@ class IvfPqIndex final : public VectorIndex {
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
   DistanceMetric metric_ = DistanceMetric::kCosine;
-  std::atomic<std::size_t> rerank_{0};
   IvfCore core_;
   PqCodebooks pq_;
   std::vector<std::uint8_t> codes_owned_;  ///< empty when snapshot-backed
   std::span<const std::uint8_t> codes_;    ///< rows x m, in slot order
-  store::EmbeddingView floats_;            ///< rerank source (optional)
-  bool has_floats_ = false;
+  RerankStage rerank_;
 };
 
 }  // namespace v2v::index

@@ -182,33 +182,6 @@ QuantMeta decode_quant_meta(std::span<const std::uint8_t> bytes) {
   return meta;
 }
 
-void exact_rerank(const store::EmbeddingView& floats, DistanceMetric metric,
-                  std::span<const float> query, std::vector<Neighbor>& cand,
-                  std::size_t k) {
-  const float* q = query.data();
-  const std::size_t d = floats.dimensions();
-  if (metric == DistanceMetric::kCosine) {
-    // Same arithmetic as FlatIndex / vec_math cosine_distance, so reranked
-    // distances are bit-identical to the exact oracle's.
-    const double nq = std::sqrt(kernels::ddot(q, q, d));
-    for (auto& c : cand) {
-      const float* row = floats.row(c.id).data();
-      const double nr = std::sqrt(kernels::ddot(row, row, d));
-      c.distance = (nq == 0.0 || nr == 0.0)
-                       ? 1.0
-                       : 1.0 - kernels::ddot(q, row, d) / (nq * nr);
-    }
-  } else {
-    for (auto& c : cand) {
-      c.distance = kernels::sqdist(q, floats.row(c.id).data(), d);
-    }
-  }
-  k = std::min(k, cand.size());
-  std::partial_sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k),
-                    cand.end(), neighbor_less);
-  cand.resize(k);
-}
-
 MatrixF normalized_rows(const store::EmbeddingView& data,
                         DistanceMetric metric, std::size_t threads) {
   const bool cosine = metric == DistanceMetric::kCosine;
@@ -235,20 +208,28 @@ const float* normalized_query(std::span<const float> query,
   return buf.data();
 }
 
-void select_top_k(std::vector<Neighbor>& scored, std::size_t k,
-                  std::size_t rerank, const store::EmbeddingView* floats,
-                  DistanceMetric metric, std::span<const float> query,
-                  std::vector<Neighbor>& out) {
-  const bool do_rerank = rerank > 0 && floats != nullptr;
-  const std::size_t keep =
-      std::min(do_rerank ? std::max(k, rerank) : k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scored.end(), neighbor_less);
-  scored.resize(keep);
-  if (do_rerank) exact_rerank(*floats, metric, query, scored, k);
-  k = std::min(k, scored.size());
-  out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));
+void RerankStage::exact_rerank(std::span<const float> query,
+                               DistanceMetric metric,
+                               std::span<const Neighbor> cand, std::size_t k,
+                               std::vector<Neighbor>& out) const {
+  TopK top(out, std::min(k, cand.size()));
+  const float* q = query.data();
+  const std::size_t d = floats_.dimensions();
+  if (metric == DistanceMetric::kCosine) {
+    const double nq = std::sqrt(kernels::ddot(q, q, d));
+    for (const Neighbor& c : cand) {
+      const float* row = floats_.row(c.id).data();
+      const double nr = std::sqrt(kernels::ddot(row, row, d));
+      top.push(c.id, (nq == 0.0 || nr == 0.0)
+                         ? 1.0
+                         : 1.0 - kernels::ddot(q, row, d) / (nq * nr));
+    }
+  } else {
+    for (const Neighbor& c : cand) {
+      top.push(c.id, kernels::sqdist(q, floats_.row(c.id).data(), d));
+    }
+  }
+  top.sort();
 }
 
 }  // namespace v2v::index

@@ -21,6 +21,8 @@
 // sections encodes and scores exactly like the one that wrote them.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -28,6 +30,7 @@
 
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/matrix.hpp"
+#include "v2v/index/top_k.hpp"
 #include "v2v/index/vector_index.hpp"
 #include "v2v/ml/kmeans.hpp"
 #include "v2v/store/embedding_view.hpp"
@@ -131,20 +134,50 @@ inline constexpr std::uint32_t kQuantKindIvfPq = 2;
 [[nodiscard]] const float* normalized_query(std::span<const float> query,
                                             DistanceMetric metric);
 
-/// The quantized-scan tail: keeps the top max(k, rerank) of `scored`,
-/// re-scores them against `floats` with exact_rerank when `rerank > 0`
-/// and `floats` is set, and writes the top-k into `out`.
-void select_top_k(std::vector<Neighbor>& scored, std::size_t k,
-                  std::size_t rerank, const store::EmbeddingView* floats,
-                  DistanceMetric metric, std::span<const float> query,
-                  std::vector<Neighbor>& out);
+/// The exact-rerank stage of the quantized indexes (SqIndex, IvfPqIndex).
+/// A query keeps the best max(k, R) quantized candidates, re-scores them
+/// against the float rows with FlatIndex's formulas (so the distances are
+/// bit-identical to the oracle's) and returns their top-k. At depth R == 0,
+/// or with no float rows attached, the quantized top-k is the answer.
+class RerankStage {
+ public:
+  /// Float rows in build-input order; the view must outlive the index.
+  void set_data(store::EmbeddingView floats) noexcept { floats_ = floats; }
+  /// Runtime-tunable like IvfIndex::set_nprobe; 0 disables rerank.
+  void set_depth(std::size_t r) noexcept {
+    depth_.store(r, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t depth() const noexcept {
+    return depth_.load(std::memory_order_relaxed);
+  }
 
-/// Recomputes exact float distances (FlatIndex's formulas, same rounding)
-/// for the candidate ids in `cand` against `floats`, then keeps the top-k
-/// by (distance, id). The quantized-index rerank stage: `query` is the
-/// caller's raw, unnormalized query.
-void exact_rerank(const store::EmbeddingView& floats, DistanceMetric metric,
-                  std::span<const float> query, std::vector<Neighbor>& cand,
-                  std::size_t k);
+  /// One query's selection: `scan(top)` offers every quantized candidate
+  /// to a TopK, and the sorted top-k lands in `out`. `query` is the raw,
+  /// unnormalized query; `k` is already clamped to the index's rows.
+  template <typename Scan>
+  void select(std::span<const float> query, std::size_t k,
+              DistanceMetric metric, std::vector<Neighbor>& out,
+              Scan&& scan) const {
+    const std::size_t r = floats_.empty() ? 0 : depth();
+    if (r == 0) {
+      TopK top(out, k);
+      scan(top);
+      top.sort();
+      return;
+    }
+    thread_local std::vector<Neighbor> survivors;
+    TopK top(survivors, std::min(std::max(k, r), floats_.rows()));
+    scan(top);
+    exact_rerank(query, metric, survivors, k, out);
+  }
+
+ private:
+  void exact_rerank(std::span<const float> query, DistanceMetric metric,
+                    std::span<const Neighbor> cand, std::size_t k,
+                    std::vector<Neighbor>& out) const;
+
+  std::atomic<std::size_t> depth_{0};
+  store::EmbeddingView floats_;  ///< empty until set_data
+};
 
 }  // namespace v2v::index

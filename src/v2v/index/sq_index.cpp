@@ -20,8 +20,7 @@ namespace {
 
 SqIndex::SqIndex(store::EmbeddingView data, DistanceMetric metric,
                  SqConfig config)
-    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric),
-      rerank_(config.rerank) {
+    : rows_(data.rows()), dims_(data.dimensions()), metric_(metric) {
   if (rows_ == 0) throw std::invalid_argument("sq8: empty embedding");
   const std::size_t threads = std::max<std::size_t>(1, config.threads);
   const MatrixF normalized = normalized_rows(data, metric_, threads);
@@ -37,6 +36,7 @@ SqIndex::SqIndex(store::EmbeddingView data, DistanceMetric metric,
                        });
   codes_ = codes_owned_;
   set_rerank_data(data);
+  set_rerank(config.rerank);
 }
 
 std::unique_ptr<SqIndex> SqIndex::from_snapshot(
@@ -49,7 +49,7 @@ std::unique_ptr<SqIndex> SqIndex::from_snapshot(
   out->rows_ = snap.rows();
   out->dims_ = snap.dimensions();
   out->metric_ = meta.metric;
-  out->rerank_.store(config.rerank, std::memory_order_relaxed);
+  out->set_rerank(config.rerank);
   if (out->rows_ == 0) throw std::invalid_argument("sq8: empty snapshot");
 
   const auto params = snap.section("sq8p");
@@ -97,23 +97,18 @@ void SqIndex::search_into(std::span<const float> query, std::size_t k,
   const bool cosine = metric_ == DistanceMetric::kCosine;
   const float* q = normalized_query(query, metric_);
 
-  thread_local std::vector<Neighbor> scored;
-  scored.clear();
-  scored.reserve(rows_);
   const float* vmin = quant_.vmin.data();
   const float* scale = quant_.scale.data();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::uint8_t* code = codes_.data() + r * dims_;
-    const double dist =
-        cosine ? 1.0 - static_cast<double>(
-                           kernels::sq8_dot(q, code, vmin, scale, dims_))
-               : static_cast<double>(
-                     kernels::sq8_sqdist(q, code, vmin, scale, dims_));
-    scored.push_back({static_cast<std::uint32_t>(r), dist});
-  }
-
-  select_top_k(scored, k, rerank_.load(std::memory_order_relaxed),
-               has_floats_ ? &floats_ : nullptr, metric_, query, out);
+  rerank_.select(query, k, metric_, out, [&](TopK& top) {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const std::uint8_t* code = codes_.data() + r * dims_;
+      top.push(static_cast<std::uint32_t>(r),
+               cosine ? 1.0 - static_cast<double>(kernels::sq8_dot(
+                                  q, code, vmin, scale, dims_))
+                      : static_cast<double>(kernels::sq8_sqdist(
+                            q, code, vmin, scale, dims_)));
+    }
+  });
 }
 
 double SqIndex::warm_rows(std::size_t begin, std::size_t end) const {

@@ -14,7 +14,6 @@
 // serve it with no float matrix in RAM.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -72,16 +71,11 @@ class SqIndex final : public VectorIndex {
 
   /// Attaches float rows (same order as build input) for exact rerank.
   void set_rerank_data(store::EmbeddingView floats) noexcept {
-    floats_ = floats;
-    has_floats_ = true;
+    rerank_.set_data(floats);
   }
   /// Runtime-tunable like IvfIndex::set_nprobe; 0 disables rerank.
-  void set_rerank(std::size_t r) noexcept {
-    rerank_.store(r, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t rerank() const noexcept {
-    return rerank_.load(std::memory_order_relaxed);
-  }
+  void set_rerank(std::size_t r) noexcept { rerank_.set_depth(r); }
+  [[nodiscard]] std::size_t rerank() const noexcept { return rerank_.depth(); }
 
   /// Quantized footprint per vector (codes + amortized quantizer params).
   [[nodiscard]] double bytes_per_vector() const noexcept;
@@ -94,12 +88,10 @@ class SqIndex final : public VectorIndex {
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
   DistanceMetric metric_ = DistanceMetric::kCosine;
-  std::atomic<std::size_t> rerank_{0};
   Sq8Quantizer quant_;
   std::vector<std::uint8_t> codes_owned_;     ///< empty when snapshot-backed
   std::span<const std::uint8_t> codes_;       ///< rows x dims bytes
-  store::EmbeddingView floats_;               ///< rerank source (optional)
-  bool has_floats_ = false;
+  RerankStage rerank_;
 };
 
 }  // namespace v2v::index

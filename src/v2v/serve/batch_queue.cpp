@@ -13,6 +13,10 @@ namespace {
 // Same latency bucket layout as query.latency_us so serve-side and
 // engine-side histograms line up bin for bin in dashboards.
 constexpr obs::HistogramConfig kLatencyBuckets{0.0, 20000.0, 256};
+
+double micros(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
+}
 }  // namespace
 
 BatchQueue::BatchQueue(const index::QueryEngine& engine, BatchQueueConfig config)
@@ -38,6 +42,9 @@ BatchQueue::BatchQueue(const index::QueryEngine& engine, BatchQueueConfig config
          static_cast<double>(std::max<std::size_t>(1, config_.queue_capacity)),
          128});
     latency_us_ = &m.histogram("serve.latency_us", kLatencyBuckets);
+    queue_wait_us_ =
+        &m.histogram("serve.stage.queue_wait_us", kLatencyBuckets);
+    engine_us_ = &m.histogram("serve.stage.engine_us", kLatencyBuckets);
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -49,9 +56,8 @@ void BatchQueue::fulfill(Pending& pending, RequestStatus status,
   if (latency_us_ != nullptr && status != RequestStatus::kOverloaded &&
       status != RequestStatus::kShuttingDown &&
       status != RequestStatus::kBadRequest) {
-    const auto waited = std::chrono::steady_clock::now() - pending.enqueued;
     latency_us_->record(
-        std::chrono::duration<double, std::micro>(waited).count());
+        micros(std::chrono::steady_clock::now() - pending.enqueued));
   }
   pending.promise.set_value({status, std::move(neighbors)});
 }
@@ -119,17 +125,6 @@ void BatchQueue::dispatcher_loop() {
       while (!stopping_ && queue_.empty()) cv_.wait(lock);
       if (queue_.empty()) return;  // stopping_ and fully drained
       draining = stopping_;
-      // Linger: give concurrent submitters a short window to fill the
-      // batch. Skipped when already full, when draining (latency no
-      // longer matters, finish fast), and when linger is disabled.
-      if (!draining && config_.max_linger.count() > 0 &&
-          queue_.size() < config_.max_batch) {
-        const auto until = std::chrono::steady_clock::now() + config_.max_linger;
-        while (!stopping_ && queue_.size() < config_.max_batch) {
-          if (cv_.wait_until(lock, until) == std::cv_status::timeout) break;
-        }
-        draining = stopping_;
-      }
       const std::size_t take = std::min(queue_.size(), config_.max_batch);
       batch.clear();
       batch.reserve(take);
@@ -150,6 +145,9 @@ void BatchQueue::execute_batch(std::vector<Pending>& batch, bool draining) {
   live.reserve(batch.size());
   std::size_t kmax = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (queue_wait_us_ != nullptr) {
+      queue_wait_us_->record(micros(now - batch[i].enqueued));
+    }
     if (batch[i].has_deadline && now >= batch[i].deadline) {
       if (timeouts_ != nullptr) timeouts_->add(1);
       fulfill(batch[i], RequestStatus::kTimeout);
@@ -172,9 +170,10 @@ void BatchQueue::execute_batch(std::vector<Pending>& batch, bool draining) {
   }
   // One engine call at the batch's largest k; per-request truncation
   // below preserves exactness (see the header's Exactness contract).
+  const auto started = std::chrono::steady_clock::now();
   auto results = engine_.query_batch(queries, kmax);
-
   const auto finished = std::chrono::steady_clock::now();
+  if (engine_us_ != nullptr) engine_us_->record(micros(finished - started));
   for (std::size_t row = 0; row < live.size(); ++row) {
     Pending& pending = batch[live[row]];
     if (pending.has_deadline && finished >= pending.deadline) {

@@ -5,10 +5,11 @@
 //
 // Concurrent callers submit() single queries; a dedicated dispatcher
 // thread coalesces whatever is queued into one QueryEngine::query_batch
-// call — up to `max_batch` requests, waiting at most `max_linger` after
-// the first arrival so a lone request is never parked behind an empty
-// batch. Coalescing turns N concurrent socket reads into one fan-out over
-// the engine's pool, which is where the serving throughput comes from.
+// call — up to `max_batch` requests, taken the moment it wakes. An idle
+// engine therefore serves a lone request at once, and batches form only
+// from requests that queued while the previous batch ran: coalescing
+// costs no added wait, and under load it turns N concurrent socket reads
+// into one fan-out over the engine's pool.
 //
 // Contracts the rest of the serving layer relies on:
 //
@@ -51,6 +52,10 @@
 //   serve.batch_occupancy       histogram: requests per dispatched batch
 //   serve.queue_depth           histogram: depth seen at admission
 //   serve.latency_us            histogram: submit -> response ready
+//   serve.stage.queue_wait_us   histogram: submit -> batch taken, one
+//                               record per admitted request
+//   serve.stage.engine_us       histogram: time inside query_batch, one
+//                               record per engine batch
 
 #include <chrono>
 #include <cstddef>
@@ -77,9 +82,6 @@ namespace v2v::serve {
 struct BatchQueueConfig {
   /// Most requests coalesced into one engine batch.
   std::size_t max_batch = 64;
-  /// Longest the dispatcher waits after the first queued request for the
-  /// batch to fill; 0 dispatches immediately (no coalescing delay).
-  std::chrono::microseconds max_linger{200};
   /// Pending-request bound; submissions beyond it get kOverloaded.
   std::size_t queue_capacity = 4096;
   /// Deadline applied when a request carries none (deadline_ms == 0).
@@ -162,6 +164,8 @@ class BatchQueue {
   obs::Histogram* batch_occupancy_ = nullptr;
   obs::Histogram* queue_depth_ = nullptr;
   obs::Histogram* latency_us_ = nullptr;
+  obs::Histogram* queue_wait_us_ = nullptr;
+  obs::Histogram* engine_us_ = nullptr;
 
   mutable Mutex mutex_{"serve.batch_queue", lock_rank::kBatchQueue};
   CondVar cv_;

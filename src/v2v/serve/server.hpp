@@ -64,7 +64,7 @@ struct ServerConfig {
   std::size_t max_frame_bytes = std::size_t{1} << 20;
   /// Retry-After hint (milliseconds) attached to kOverloaded responses.
   std::uint32_t retry_after_ms = 50;
-  /// Admission-queue policy (batch size, linger, capacity, deadlines).
+  /// Admission-queue policy (batch size, capacity, deadlines).
   BatchQueueConfig batch;
   /// Sink for the server metrics above and the /stats endpoint; also
   /// copied into batch.metrics when that is null.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -58,6 +59,49 @@ TEST(FlatIndex, MatchesNaiveScanBothMetrics) {
         EXPECT_EQ(got[i].id, want[i].id) << "metric " << static_cast<int>(metric)
                                          << " query " << q << " rank " << i;
         EXPECT_DOUBLE_EQ(got[i].distance, want[i].distance);
+      }
+    }
+  }
+}
+
+TEST(FlatIndex, MatchesFullSortOnExactTiesAcrossDimsAndK) {
+  // Rows 40..79 duplicate rows 0..39, so every query meets exact
+  // (distance, id) ties; the dims cover each kernel-parity tail.
+  constexpr std::size_t kRows = 80;
+  for (const std::size_t d : {1, 7, 8, 100, 128, 129}) {
+    MatrixF points = random_points(kRows, d, 50 + d);
+    for (std::size_t r = kRows / 2; r < kRows; ++r) {
+      const auto src = points.row(r - kRows / 2);
+      std::copy(src.begin(), src.end(), points.row(r).begin());
+    }
+    for (const auto metric :
+         {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
+      const FlatIndex flat(store::EmbeddingView::of(points), metric);
+      Rng rng(d);
+      for (int q = 0; q < 4; ++q) {
+        // Half the queries sit on a stored row: distance-0 ties first.
+        std::vector<float> query(d);
+        if (q % 2 == 0) {
+          const auto row = points.row(rng.next_below(kRows));
+          query.assign(row.begin(), row.end());
+        } else {
+          for (auto& x : query) x = static_cast<float>(rng.next_gaussian());
+        }
+        for (const std::size_t k : {std::size_t{1}, std::size_t{10}, kRows,
+                                    kRows + 5}) {
+          const auto got = flat.search(query, k);
+          const auto want = naive_search(points, query, k, metric);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, want[i].id)
+                << "d=" << d << " metric " << static_cast<int>(metric)
+                << " k=" << k << " rank " << i;
+            EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance,
+                                  sizeof(double)),
+                      0)
+                << "d=" << d << " k=" << k << " rank " << i;
+          }
+        }
       }
     }
   }

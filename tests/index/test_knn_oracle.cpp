@@ -95,7 +95,9 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{4, DistanceMetric::kEuclidean, 1},
                       OracleCase{5, DistanceMetric::kEuclidean, 3},
                       OracleCase{6, DistanceMetric::kEuclidean, 7},
-                      OracleCase{7, DistanceMetric::kEuclidean, 15}));
+                      OracleCase{7, DistanceMetric::kEuclidean, 15},
+                      OracleCase{8, DistanceMetric::kCosine, 60},
+                      OracleCase{9, DistanceMetric::kEuclidean, 65}));
 
 }  // namespace
 }  // namespace v2v::index

@@ -9,13 +9,16 @@
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
+#include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
+#include "v2v/common/vec_math.hpp"
 #include "v2v/index/flat_index.hpp"
 #include "v2v/index/ivf_core.hpp"
 #include "v2v/index/ivf_index.hpp"
@@ -161,6 +164,136 @@ TEST(QuantIndex, RerankedDistancesMatchOracleBitForBit) {
       for (std::size_t i = 0; i < truth.size(); ++i) {
         EXPECT_EQ(truth[i].id, got[i].id) << "q=" << q << " i=" << i;
         EXPECT_EQ(truth[i].distance, got[i].distance) << "q=" << q;
+      }
+    }
+  }
+}
+
+/// The full-sort reference for every selection: all candidates, sorted by
+/// (distance, id), cut to the best `k`.
+std::vector<Neighbor> full_sort_top(std::vector<Neighbor> all, std::size_t k) {
+  std::sort(all.begin(), all.end(), neighbor_less);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// Re-scores `cand` with the exact float formulas, then full-sorts to k.
+std::vector<Neighbor> exact_top(const MatrixF& points,
+                                std::span<const float> query,
+                                std::vector<Neighbor> cand, std::size_t k,
+                                DistanceMetric metric) {
+  for (auto& c : cand) {
+    const std::span<const float> row(points.row(c.id));
+    c.distance = metric == DistanceMetric::kCosine
+                     ? cosine_distance(query, row)
+                     : squared_distance(query, row);
+  }
+  return full_sort_top(std::move(cand), k);
+}
+
+void expect_same_bits(const std::vector<Neighbor>& got,
+                      const std::vector<Neighbor>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+    EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance, sizeof(double)),
+              0)
+        << what << " rank " << i;
+  }
+}
+
+TEST(QuantIndex, FullProbeAndRerankMatchFullSortReference) {
+  // Duplicated rows put exact (distance, id) ties into every candidate list.
+  MatrixF points = planted_clusters(400, 12, 6, 17, 1.0);
+  for (std::size_t r = 300; r < 400; ++r) {
+    const auto src = points.row(r - 300);
+    std::copy(src.begin(), src.end(), points.row(r).begin());
+  }
+  const MatrixF queries = sample_queries(points, 6, 18);
+  const auto view = store::EmbeddingView::of(points);
+  const std::size_t n = points.rows();
+  const std::size_t dims = points.cols();
+  for (const auto metric :
+       {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
+    const bool cosine = metric == DistanceMetric::kCosine;
+    const MatrixF normalized = normalized_rows(view, metric, 1);
+    IvfConfig coarse;
+    coarse.nlist = 8;
+    coarse.nprobe = 8;  // full probe: every row is a candidate
+    coarse.seed = 5;
+    const IvfIndex ivf(view, metric, coarse);
+    SqIndex sq(view, metric, {.threads = 1});
+    IvfPqConfig pq_config;
+    pq_config.nlist = coarse.nlist;
+    pq_config.nprobe = coarse.nprobe;
+    pq_config.seed = coarse.seed;
+    pq_config.m = 4;
+    IvfPqIndex ivfpq(view, metric, pq_config);
+    const auto& books = ivfpq.codebooks();
+
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      const auto query = queries.row(q);
+      const float* qp = normalized_query(query, metric);
+      const std::vector<float> qn(qp, qp + dims);
+
+      std::vector<Neighbor> ivf_all, sq_all, pq_all;
+      for (std::size_t r = 0; r < n; ++r) {
+        const float* row = normalized.row(r).data();
+        ivf_all.push_back({static_cast<std::uint32_t>(r),
+                           cosine ? 1.0 - kernels::ddot(qn.data(), row, dims)
+                                  : kernels::sqdist(qn.data(), row, dims)});
+        const std::uint8_t* code = sq.packed_codes().data() + r * dims;
+        const auto& quant = sq.quantizer();
+        sq_all.push_back(
+            {static_cast<std::uint32_t>(r),
+             cosine ? 1.0 - static_cast<double>(kernels::sq8_dot(
+                                qn.data(), code, quant.vmin.data(),
+                                quant.scale.data(), dims))
+                    : static_cast<double>(kernels::sq8_sqdist(
+                          qn.data(), code, quant.vmin.data(),
+                          quant.scale.data(), dims))});
+      }
+      std::vector<float> resq(dims);
+      std::vector<float> lut(books.m * kernels::kPqLutStride);
+      for (std::size_t list = 0; list < ivfpq.nlist(); ++list) {
+        std::copy(qn.begin(), qn.end(), resq.begin());
+        kernels::axpy(-1.0f, ivfpq.core().centroid(list).data(), resq.data(),
+                      dims);
+        books.build_lut(resq.data(), lut.data());
+        for (std::size_t slot = ivfpq.list_offsets()[list];
+             slot < ivfpq.list_offsets()[list + 1]; ++slot) {
+          const double adc = static_cast<double>(kernels::pq_adc(
+              lut.data(), ivfpq.packed_codes().data() + slot * books.m,
+              books.m));
+          pq_all.push_back({ivfpq.ids()[slot], cosine ? 0.5 * adc : adc});
+        }
+      }
+
+      for (const std::size_t k : {std::size_t{1}, std::size_t{10}, n}) {
+        const std::string at = "metric=" + std::to_string(cosine) +
+                               " q=" + std::to_string(q) +
+                               " k=" + std::to_string(k);
+        expect_same_bits(ivf.search(query, k), full_sort_top(ivf_all, k),
+                         "ivf " + at);
+        sq.set_rerank(0);
+        ivfpq.set_rerank(0);
+        expect_same_bits(sq.search(query, k), full_sort_top(sq_all, k),
+                         "sq8 " + at);
+        expect_same_bits(ivfpq.search(query, k), full_sort_top(pq_all, k),
+                         "ivfpq " + at);
+        // Rerank deeper than k: exact scores over the quantized top-R.
+        const std::size_t depth = std::min(k + 25, n);
+        sq.set_rerank(depth);
+        ivfpq.set_rerank(depth);
+        expect_same_bits(
+            sq.search(query, k),
+            exact_top(points, query, full_sort_top(sq_all, depth), k, metric),
+            "sq8 rerank " + at);
+        expect_same_bits(
+            ivfpq.search(query, k),
+            exact_top(points, query, full_sort_top(pq_all, depth), k, metric),
+            "ivfpq rerank " + at);
       }
     }
   }

@@ -1,7 +1,7 @@
 // BatchQueue contracts: exactness vs direct search (bit-identical),
-// per-request k truncation inside a coalesced batch, deadline expiry in
-// the queue (no engine work), queue-full backpressure, and the
-// shutdown-drains-everything guarantee. The deterministic scheduling
+// per-request k truncation inside a coalesced batch, the per-stage
+// histograms, deadline expiry in the queue (no engine work), queue-full
+// backpressure, and the shutdown-drains-everything guarantee. The deterministic scheduling
 // tests use GateIndex, a VectorIndex whose search blocks on a gate, so
 // "request is inside the engine" and "requests are parked in the queue"
 // are explicit states instead of sleeps.
@@ -36,10 +36,13 @@ MatrixF random_points(std::size_t n, std::size_t d, std::uint64_t seed) {
 }
 
 /// Test double: every search blocks until open() and counts its entries.
-/// Results are deterministic fakes (id == rank, distance == rank).
+/// Results are deterministic fakes (id == rank, distance == rank), or the
+/// answers of `inner` when one is given.
 class GateIndex final : public index::VectorIndex {
  public:
   GateIndex(std::size_t size, std::size_t dims) : size_(size), dims_(dims) {}
+  explicit GateIndex(const index::VectorIndex& inner)
+      : size_(inner.size()), dims_(inner.dimensions()), inner_(&inner) {}
 
   [[nodiscard]] std::size_t size() const noexcept override { return size_; }
   [[nodiscard]] std::size_t dimensions() const noexcept override { return dims_; }
@@ -47,13 +50,17 @@ class GateIndex final : public index::VectorIndex {
     return index::DistanceMetric::kEuclidean;
   }
 
-  void search_into(std::span<const float>, std::size_t k,
+  void search_into(std::span<const float> query, std::size_t k,
                    std::vector<index::Neighbor>& out) const override {
     {
       std::unique_lock lock(mutex_);
       ++entered_;
       entered_cv_.notify_all();
       gate_cv_.wait(lock, [&] { return open_; });
+    }
+    if (inner_ != nullptr) {
+      inner_->search_into(query, k, out);
+      return;
     }
     out.clear();
     for (std::size_t i = 0; i < std::min(k, size_); ++i) {
@@ -83,6 +90,7 @@ class GateIndex final : public index::VectorIndex {
  private:
   const std::size_t size_;
   const std::size_t dims_;
+  const index::VectorIndex* inner_ = nullptr;
   mutable std::mutex mutex_;
   mutable std::condition_variable gate_cv_;
   mutable std::condition_variable entered_cv_;
@@ -116,21 +124,26 @@ TEST(ServeBatchQueue, OkResultsAreBitIdenticalToDirectSearch) {
 TEST(ServeBatchQueue, CoalescedBatchTruncatesToEachRequestsK) {
   const MatrixF points = random_points(60, 4, 3);
   const index::FlatIndex flat(store::EmbeddingView::of(points));
-  const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
+  GateIndex gate(flat);
+  const index::QueryEngine engine(gate, {.threads = 1, .metrics = nullptr});
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
-  config.max_linger = std::chrono::microseconds(20000);  // force coalescing
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
 
+  // The first request holds the engine; the other three queue behind it
+  // and are taken together once the gate opens.
   const MatrixF queries = random_points(4, 4, 4);
-  const std::size_t ks[] = {1, 3, 5, 9};
+  const std::size_t ks[] = {5, 1, 3, 9};
   std::vector<std::future<SubmitResult>> futures;
   for (std::size_t q = 0; q < 4; ++q) {
     const auto row = queries.row(q);
     futures.push_back(
         queue.submit(std::vector<float>(row.begin(), row.end()), ks[q]));
+    if (q == 0) gate.wait_entered(1);
   }
+  EXPECT_EQ(queue.depth(), 3u);
+  gate.open();
   for (std::size_t q = 0; q < 4; ++q) {
     const auto result = futures[q].get();
     ASSERT_EQ(result.status, RequestStatus::kOk);
@@ -143,12 +156,44 @@ TEST(ServeBatchQueue, CoalescedBatchTruncatesToEachRequestsK) {
       EXPECT_DOUBLE_EQ(result.neighbors[i].distance, direct[i].distance);
     }
   }
-  // The linger window was generous, so the four submits (all parked before
-  // the first future resolved) coalesced into few engine batches.
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("serve.requests"), 4u);
-  EXPECT_LE(snap.counters.at("serve.batches"), 4u);
-  EXPECT_GE(snap.histograms.at("serve.batch_occupancy").count, 1u);
+  EXPECT_EQ(snap.counters.at("serve.batches"), 2u);
+  const auto& occupancy = snap.histograms.at("serve.batch_occupancy");
+  EXPECT_EQ(occupancy.count, 2u);
+  EXPECT_DOUBLE_EQ(occupancy.min, 1.0);
+  EXPECT_DOUBLE_EQ(occupancy.max, 3.0);
+}
+
+TEST(ServeBatchQueue, StageHistogramsCountRequestsAndBatches) {
+  const MatrixF points = random_points(40, 3, 8);
+  const index::FlatIndex flat(store::EmbeddingView::of(points));
+  GateIndex gate(flat);
+  const index::QueryEngine engine(gate, {.threads = 1, .metrics = nullptr});
+  obs::MetricsRegistry metrics;
+  BatchQueueConfig config;
+  config.metrics = &metrics;
+  BatchQueue queue(engine, config);
+
+  std::vector<std::future<SubmitResult>> futures;
+  futures.push_back(queue.submit({0.0f, 1.0f, 2.0f}, 2));
+  gate.wait_entered(1);
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(queue.submit({1.0f, 0.5f, 0.25f}, 3));
+  }
+  gate.open();
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().status, RequestStatus::kOk);
+  }
+  EXPECT_EQ(queue.query({2.0f, 2.0f, 2.0f}, 1).status, RequestStatus::kOk);
+
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.at("serve.requests"), 6u);
+  EXPECT_EQ(snap.counters.at("serve.batches"), 3u);
+  EXPECT_EQ(snap.histograms.at("serve.stage.queue_wait_us").count,
+            snap.counters.at("serve.requests"));
+  EXPECT_EQ(snap.histograms.at("serve.stage.engine_us").count,
+            snap.counters.at("serve.batches"));
 }
 
 TEST(ServeBatchQueue, WrongDimensionsRejectedBadRequest) {
@@ -172,7 +217,6 @@ TEST(ServeBatchQueue, DeadlineExpiredInQueueSkipsEngine) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;  // the second request must wait for the first
-  config.max_linger = std::chrono::microseconds(0);
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
 
@@ -195,7 +239,6 @@ TEST(ServeBatchQueue, FullQueueRejectsOverloadedWithoutBlocking) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;
-  config.max_linger = std::chrono::microseconds(0);
   config.queue_capacity = 2;
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
@@ -223,7 +266,6 @@ TEST(ServeBatchQueue, ShutdownDrainsEveryAdmittedRequest) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;
-  config.max_linger = std::chrono::microseconds(0);
   config.default_deadline = std::chrono::milliseconds(0);  // no deadlines
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
@@ -256,7 +298,6 @@ TEST(ServeBatchQueue, ZeroDefaultDeadlineDisablesTimeouts) {
   const index::QueryEngine engine(gate, {.threads = 1, .metrics = nullptr});
   BatchQueueConfig config;
   config.default_deadline = std::chrono::milliseconds(0);
-  config.max_linger = std::chrono::microseconds(0);
   BatchQueue queue(engine, config);
 
   auto future = queue.submit({0.0f, 0.0f}, 3);

@@ -220,6 +220,8 @@ TEST(ServeServer, HttpHealthzAndStatsAndUnknown) {
                                    "GET /stats HTTP/1.1\r\n\r\n");
   EXPECT_NE(stats.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(stats.find("serve.requests"), std::string::npos);
+  EXPECT_NE(stats.find("serve.stage.queue_wait_us"), std::string::npos);
+  EXPECT_NE(stats.find("serve.stage.engine_us"), std::string::npos);
 
   const auto missing = http_exchange(f.server->host(), f.server->port(),
                                      "GET /nope HTTP/1.1\r\n\r\n");

@@ -50,6 +50,10 @@ Enforced on src/ (and partially on tests/ and bench/, see each rule):
       walk::CorpusReader interface (InMemoryCorpus / SpooledCorpus);
       `const Corpus&` parameters stay legal (they borrow, they do not
       materialize)
+  R13 no std::partial_sort / std::nth_element in src/v2v/index/ outside
+      index/top_k.hpp: every result list, rerank tail and IVF probe
+      selects through the bounded TopK heap, which never materializes one
+      entry per row
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exit code 0 = clean, 1 = findings (printed one per line as
@@ -177,6 +181,11 @@ CORPUS_MATERIALIZE_ALLOWLIST: set[str] = {
     "src/v2v/embed/vocabulary.hpp",
     "src/v2v/embed/vocabulary.cpp",
 }
+
+# R13: partial selection in the index layer goes through TopK.
+PARTIAL_SELECT_RE = re.compile(r"\bstd::(partial_sort|nth_element)\b")
+PARTIAL_SELECT_SCOPE = "src/v2v/index/"
+PARTIAL_SELECT_ALLOWLIST: set[str] = {"src/v2v/index/top_k.hpp"}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -400,6 +409,20 @@ class Linter:
                             "walk::CorpusReader (or allowlist in "
                             "tools/lint.py)")
 
+    def lint_partial_select(self, path: pathlib.Path) -> None:
+        rel = path.relative_to(self.root).as_posix()
+        if (not rel.startswith(PARTIAL_SELECT_SCOPE)
+                or rel in PARTIAL_SELECT_ALLOWLIST):
+            return
+        code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+        for line_no, line in enumerate(code.splitlines(), start=1):
+            m = PARTIAL_SELECT_RE.search(line)
+            if m:
+                self.report(path, line_no, "R13",
+                            f"{m.group(0)} in src/v2v/index/; select through "
+                            "the bounded TopK in index/top_k.hpp (or "
+                            "allowlist in tools/lint.py)")
+
     def lint_include_hygiene(self, path: pathlib.Path) -> None:
         raw = path.read_text(encoding="utf-8")
         if path.suffix == ".hpp":
@@ -452,6 +475,7 @@ class Linter:
             self.lint_raw_sync(path)
             self.lint_graph_builder(path)
             self.lint_corpus_materialization(path)
+            self.lint_partial_select(path)
         # Tests and benches get the behavioral rules (R1-R4) but not the
         # structural ones.
         for tree in (tests, bench):
