@@ -7,9 +7,11 @@
 //        [delta_corpus_dir]
 //
 // Protocol seeds are mode-prefixed to match fuzz_protocol.cpp's dispatch
-// byte. Snapshot seeds follow fuzz_snapshot.cpp's convention: header bytes
-// followed by an 8-byte little-endian purported file size. Delta seeds are
-// plain text straight from the dynamic/delta_io.hpp encoder.
+// byte. Snapshot seeds come in two shapes, both fed to every fuzz_snapshot
+// validator: header seeds (header bytes followed by an 8-byte
+// little-endian purported file size) and whole-file images — a v1 file, a
+// v2 file with SQ8 sections and a v3 file with trainer sections. Delta
+// seeds are plain text straight from the dynamic/delta_io.hpp encoder.
 
 #include <cstdint>
 #include <cstdio>
@@ -23,8 +25,10 @@
 
 #include "v2v/dynamic/delta_io.hpp"
 #include "v2v/embed/embedding.hpp"
+#include "v2v/index/sq_index.hpp"
 #include "v2v/serve/protocol.hpp"
 #include "v2v/store/snapshot.hpp"
+#include "v2v/store/trainer_state.hpp"
 
 namespace {
 
@@ -92,8 +96,50 @@ std::vector<std::uint8_t> snapshot_seed(std::vector<std::uint8_t> header,
   return header;
 }
 
+std::vector<std::uint8_t> read_back(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+  if (!in || bytes.empty()) {
+    std::fprintf(stderr, "fuzz_seed_corpus: cannot re-read %s\n", file.c_str());
+    std::exit(1);
+  }
+  fs::remove(file);
+  return bytes;
+}
+
+/// Whole-file seeds for the image mode, one per format version; each is
+/// small enough to stay under the fuzz drivers' default input cap.
+void write_image_seeds(const fs::path& dir,
+                       const v2v::embed::Embedding& embedding) {
+  const fs::path tmp = dir / "tmp_image.v2vsnap";
+  const auto view = v2v::store::EmbeddingView::of(embedding);
+
+  v2v::store::EmbeddingStore::save(embedding, tmp.string());
+  write_seed(dir, "image_v1", read_back(tmp));
+
+  v2v::store::SnapshotBuilder quantized(embedding.vertex_count(),
+                                        embedding.dimensions());
+  const v2v::index::SqIndex sq(view, v2v::index::DistanceMetric::kEuclidean);
+  sq.save_sections(quantized);
+  quantized.write(tmp.string());
+  write_seed(dir, "image_v2_sq8", read_back(tmp));
+
+  v2v::embed::TrainerCheckpoint checkpoint;
+  checkpoint.syn1 = v2v::MatrixF(embedding.vertex_count(),
+                                 embedding.dimensions(), 0.5f);
+  checkpoint.frequencies.assign(embedding.vertex_count(), 3);
+  checkpoint.dimensions = embedding.dimensions();
+  v2v::store::SnapshotBuilder trainer(embedding.vertex_count(),
+                                      embedding.dimensions());
+  trainer.set_float_matrix(view);
+  v2v::store::add_trainer_state(trainer, checkpoint);
+  trainer.write(tmp.string());
+  write_seed(dir, "image_v3_trainer", read_back(tmp));
+}
+
 void write_snapshot_seeds(const fs::path& dir) {
-  // A real snapshot written by the store itself is the ground-truth seed.
+  // Real snapshots written by the store itself are the ground-truth seeds.
   v2v::embed::Embedding embedding(3, 4);
   for (std::size_t v = 0; v < 3; ++v) {
     auto row = embedding.vector(v);
@@ -101,19 +147,13 @@ void write_snapshot_seeds(const fs::path& dir) {
       row[d] = static_cast<float>(v) + 0.25f * static_cast<float>(d);
     }
   }
+  write_image_seeds(dir, embedding);
+
   const fs::path snap = dir / "tmp_seed.v2vsnap";
   v2v::store::EmbeddingStore::save(embedding, snap.string());
   const std::uint64_t file_size = fs::file_size(snap);
-
-  std::ifstream in(snap, std::ios::binary);
-  std::vector<std::uint8_t> header(v2v::store::kSnapshotHeaderBytes);
-  in.read(reinterpret_cast<char*>(header.data()),
-          static_cast<std::streamsize>(header.size()));
-  if (!in) {
-    std::fprintf(stderr, "fuzz_seed_corpus: cannot re-read %s\n", snap.c_str());
-    std::exit(1);
-  }
-  fs::remove(snap);
+  std::vector<std::uint8_t> header = read_back(snap);
+  header.resize(v2v::store::kSnapshotHeaderBytes);
 
   write_seed(dir, "valid_header", snapshot_seed(header, file_size));
   write_seed(dir, "short_file", snapshot_seed(header, file_size / 2));

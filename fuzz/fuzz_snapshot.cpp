@@ -1,34 +1,39 @@
-// Fuzz harness for snapshot header validation (store/snapshot.hpp):
-// decode_snapshot_header is the single validator every file-based reader
-// (read_header / load / MappedEmbedding::open) funnels untrusted bytes
-// through, so covering it covers the store's entire parse surface.
+// Fuzz harness for snapshot validation (store/format.hpp). Every input is
+// fed to both validators:
 //
-// Input shape: the last 8 bytes (when present) are a little-endian
-// purported file size — the validator cross-checks the header's promised
-// data region against it — and everything before them is the header
-// candidate. Shorter inputs are fed whole with file_size = input size,
-// which exercises the truncated-header path.
+//   - header mode: decode_snapshot_header. The last 8 bytes (when present)
+//     are a little-endian purported file size — the validator cross-checks
+//     the header's promised data region against it — and everything before
+//     them is the header candidate. Shorter inputs are fed whole with
+//     file_size = input size, which exercises the truncated-header path.
+//   - image mode: validate_snapshot_image over the whole input as a file
+//     image — header, section table, the "fmat" mirror rule and every
+//     checksum. This is the validator behind MappedSnapshot::open, so it
+//     covers what every reader (MappedSnapshot, MappedEmbedding,
+//     EmbeddingStore::load, the corpus spool) parses.
 //
 // Invariants on accept: every field restriction the format documents must
-// actually hold, and validation must be deterministic (same bytes -> same
-// header). Every reject must be a typed SnapshotError, never UB — the
-// corruption-matrix tests assert exact codes on curated samples; the
-// fuzzer asserts "typed throw or valid header" on arbitrary ones.
+// actually hold, every section lies inside the image, a float header
+// mirrors its "fmat" entry, and validation must be deterministic (same
+// bytes -> same result). Every reject must be a typed SnapshotError, never
+// UB — the corruption-matrix tests assert exact codes on curated samples;
+// the fuzzer asserts "typed throw or valid layout" on arbitrary ones.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 #define FUZZ_CHECK(cond) \
   do {                   \
     if (!(cond)) __builtin_trap(); \
   } while (0)
 
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
+namespace {
+
+void check_header_mode(const std::uint8_t* data, std::size_t size) {
   std::span<const std::uint8_t> header(data, size);
   std::uint64_t file_size = size;
   if (size >= 8) {
@@ -56,6 +61,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       FUZZ_CHECK(h.data_bytes == h.rows * h.row_stride * sizeof(float));
     }
     FUZZ_CHECK(h.data_offset >= v2v::store::kSnapshotHeaderBytes);
+    FUZZ_CHECK(h.data_offset % 64 == 0);
     FUZZ_CHECK(h.data_offset + h.data_bytes >= h.data_offset);  // no wrap
     FUZZ_CHECK(h.data_offset + h.data_bytes <= file_size);
 
@@ -71,5 +77,49 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // Typed rejection is the contract; the code must stringify.
     FUZZ_CHECK(v2v::store::snapshot_error_name(e.code()) != nullptr);
   }
+}
+
+void check_image_mode(const std::uint8_t* data, std::size_t size) {
+  namespace store = v2v::store;
+  const std::span<const std::uint8_t> image(data, size);
+  try {
+    const store::SnapshotLayout layout = store::validate_snapshot_image(image);
+    const store::SnapshotHeader& h = layout.header;
+    FUZZ_CHECK(h.data_offset % 64 == 0);
+    FUZZ_CHECK(h.data_offset + h.data_bytes <= size);
+    const store::SnapshotSection* fmat = nullptr;
+    for (const auto& s : layout.sections) {
+      FUZZ_CHECK(!s.name.empty() && s.name.size() <= 8);
+      FUZZ_CHECK(s.offset >= store::kSnapshotHeaderBytes && s.offset % 64 == 0);
+      FUZZ_CHECK(s.bytes <= size && s.offset <= size - s.bytes);
+      FUZZ_CHECK(store::fnv1a64(data + s.offset, s.bytes) == s.checksum);
+      if (s.name == "fmat" && fmat == nullptr) fmat = &s;
+    }
+    if (h.dtype == store::kDtypeFloat32) {
+      FUZZ_CHECK(store::fnv1a64(data + h.data_offset, h.data_bytes) ==
+                 h.data_checksum);
+      if (h.version >= store::kSnapshotVersionSections || h.data_bytes > 0) {
+        FUZZ_CHECK(fmat != nullptr && fmat->offset == h.data_offset &&
+                   fmat->bytes == h.data_bytes &&
+                   fmat->checksum == h.data_checksum);
+      }
+    }
+
+    // Determinism: a second validation of the same bytes agrees exactly.
+    const store::SnapshotLayout again = store::validate_snapshot_image(image);
+    FUZZ_CHECK(again.sections.size() == layout.sections.size());
+    FUZZ_CHECK(again.header.data_offset == h.data_offset &&
+               again.header.data_checksum == h.data_checksum);
+  } catch (const store::SnapshotError& e) {
+    FUZZ_CHECK(store::snapshot_error_name(e.code()) != nullptr);
+  }
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  check_header_mode(data, size);
+  check_image_mode(data, size);
   return 0;
 }

@@ -1,26 +1,21 @@
 #include "v2v/store/format.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "v2v/common/check.hpp"
 #include "v2v/common/matrix.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define V2V_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define V2V_STORE_HAS_MMAP 0
-#endif
 
 namespace v2v::store {
 namespace {
@@ -56,27 +51,15 @@ constexpr std::uint32_t kMaxSections = 1024;
   return (offset + 63) & ~std::uint64_t{63};
 }
 
-/// Serializes the section table prologue + entries into a buffer (the
-/// trailing table checksum is written separately). Shared by the buffering
-/// and streaming writers so their bytes are identical.
-[[nodiscard]] std::vector<std::uint8_t> encode_section_table(
-    const std::vector<SnapshotSection>& entries) {
-  std::vector<std::uint8_t> table(8 + entries.size() * kSectionEntryBytes, 0);
-  put<std::uint32_t>(table.data(), 0, static_cast<std::uint32_t>(entries.size()));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::size_t at = 8 + i * kSectionEntryBytes;
-    std::memcpy(table.data() + at, entries[i].name.data(), entries[i].name.size());
-    put<std::uint64_t>(table.data(), at + 8, entries[i].offset);
-    put<std::uint64_t>(table.data(), at + 16, entries[i].bytes);
-    put<std::uint64_t>(table.data(), at + 24, entries[i].checksum);
-  }
-  return table;
+/// End of a `count`-entry section table, its trailing checksum included.
+[[nodiscard]] std::uint64_t table_end(std::uint64_t count) noexcept {
+  return kSectionTableOffset + 8 + count * kSectionEntryBytes + 8;
 }
 
 /// Parses and validates the section table of an in-memory snapshot image.
 /// v1 files have no table: a nonempty float region is surfaced as one
-/// synthetic "fmat" entry. Payload checksums are NOT verified here (the
-/// caller decides when to fault pages); table structure and ranges are.
+/// synthetic "fmat" entry. Payload checksums are NOT verified here;
+/// table structure, ranges and payload alignment are.
 std::vector<SnapshotSection> parse_section_table(const std::uint8_t* base,
                                                  std::uint64_t file_size,
                                                  const SnapshotHeader& h,
@@ -97,8 +80,7 @@ std::vector<SnapshotSection> parse_section_table(const std::uint8_t* base,
     fail(SnapshotErrorCode::kBadSectionTable, path,
          "implausible section count " + std::to_string(count));
   }
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + std::uint64_t{count} * kSectionEntryBytes;
+  const std::uint64_t entries_end = table_end(count) - 8;
   if (file_size < entries_end + 8) {
     fail(SnapshotErrorCode::kBadSectionTable, path, "truncated section table");
   }
@@ -125,10 +107,56 @@ std::vector<SnapshotSection> parse_section_table(const std::uint8_t* base,
       fail(SnapshotErrorCode::kBadSectionTable, path,
            "section '" + s.name + "' out of range");
     }
+    if (s.offset % 64 != 0) {
+      fail(SnapshotErrorCode::kBadSectionTable, path,
+           "section '" + s.name + "' not 64-byte aligned");
+    }
     out.push_back(std::move(s));
   }
   return out;
 }
+
+/// A read-only descriptor and the size fstat reports for it: the readers'
+/// one way into the file system, so the header, the size and the bytes
+/// all come from a single open.
+class ReadOnlyFile {
+ public:
+  explicit ReadOnlyFile(const std::string& path)
+      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
+      ::close(fd_);
+      fail(SnapshotErrorCode::kOpenFailed, path, "not a readable regular file");
+    }
+    size_ = static_cast<std::size_t>(st.st_size);
+  }
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ~ReadOnlyFile() { ::close(fd_); }
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Reads the file's first `bytes` bytes into `out`.
+  void read_prefix(std::uint8_t* out, std::size_t bytes) const {
+    std::size_t done = 0;
+    while (done < bytes) {
+      const ::ssize_t got = ::pread(fd_, out + done, bytes - done,
+                                    static_cast<::off_t>(done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        fail(SnapshotErrorCode::kTruncatedData, path_, "short file read");
+      }
+      done += static_cast<std::size_t>(got);
+    }
+  }
+
+ private:
+  std::string path_;
+  int fd_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -234,11 +262,11 @@ SnapshotHeader decode_snapshot_header(std::span<const std::uint8_t> bytes,
     // No float region: stride and data byte count must both be zero; the
     // payloads live in the section table instead.
     if (h.row_stride != 0 || h.data_bytes != 0 ||
-        h.data_offset < kHeaderBytes) {
+        h.data_offset < kHeaderBytes || h.data_offset % 64 != 0) {
       fail(SnapshotErrorCode::kBadHeader, origin, "inconsistent header fields");
     }
   } else if (h.row_stride < h.dims || h.data_offset < kHeaderBytes ||
-             h.row_stride > kMax / sizeof(float) ||
+             h.data_offset % 64 != 0 || h.row_stride > kMax / sizeof(float) ||
              (h.row_stride != 0 &&
               h.rows > kMax / (h.row_stride * sizeof(float))) ||
              h.data_bytes != h.rows * h.row_stride * sizeof(float) ||
@@ -252,21 +280,53 @@ SnapshotHeader decode_snapshot_header(std::span<const std::uint8_t> bytes,
   return h;
 }
 
-SnapshotHeader read_snapshot_header(std::istream& in, const std::string& origin) {
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
+SnapshotLayout validate_snapshot_image(std::span<const std::uint8_t> image,
+                                       const std::string& origin) {
+  SnapshotLayout out;
+  out.header = decode_snapshot_header(image, image.size(), origin);
+  const SnapshotHeader& h = out.header;
+  out.sections = parse_section_table(image.data(), image.size(), h, origin);
 
-  std::uint8_t buf[kHeaderBytes];
-  in.read(reinterpret_cast<char*>(buf), kHeaderBytes);
-  const auto got = !in ? std::size_t{0} : static_cast<std::size_t>(in.gcount());
-  return decode_snapshot_header({buf, got}, file_size, origin);
+  // The float region is hashed once, as the header's data region; the
+  // "fmat" entry it mirrors is then skipped in the section pass below.
+  const SnapshotSection* mirror = nullptr;
+  if (h.dtype == kDtypeFloat32) {
+    for (const auto& s : out.sections) {
+      if (s.name == "fmat") {
+        mirror = &s;
+        break;
+      }
+    }
+    if (h.version >= kSnapshotVersionSections &&
+        (mirror == nullptr || mirror->offset != h.data_offset ||
+         mirror->bytes != h.data_bytes ||
+         mirror->checksum != h.data_checksum)) {
+      fail(SnapshotErrorCode::kBadHeader, origin,
+           "float header fields do not mirror the 'fmat' section");
+    }
+    if (fnv1a64(image.data() + h.data_offset,
+                static_cast<std::size_t>(h.data_bytes)) != h.data_checksum) {
+      fail(SnapshotErrorCode::kDataChecksumMismatch, origin,
+           "data checksum mismatch");
+    }
+  }
+  for (const auto& s : out.sections) {
+    if (&s == mirror) continue;
+    if (fnv1a64(image.data() + s.offset, static_cast<std::size_t>(s.bytes)) !=
+        s.checksum) {
+      fail(SnapshotErrorCode::kSectionChecksumMismatch, origin,
+           "section '" + s.name + "' checksum mismatch");
+    }
+  }
+  return out;
 }
 
 SnapshotHeader read_snapshot_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
-  return read_snapshot_header(in, path);
+  const ReadOnlyFile file(path);
+  std::uint8_t buf[kHeaderBytes];
+  const std::size_t got = std::min(file.size(), kHeaderBytes);
+  file.read_prefix(buf, got);
+  return decode_snapshot_header({buf, got}, file.size(), path);
 }
 
 bool mmap_disabled_by_env() noexcept {
@@ -277,12 +337,12 @@ bool mmap_disabled_by_env() noexcept {
 void SnapshotBuilder::set_float_matrix(const EmbeddingView& view) {
   V2V_CHECK(view.rows() == rows_ && view.dimensions() == dims_,
             "float matrix shape must match the builder's corpus shape");
-  row_stride_ = MatrixF::padded_stride(dims_);
+  const std::size_t row_stride = MatrixF::padded_stride(dims_);
   std::vector<std::uint8_t> payload(
-      static_cast<std::size_t>(rows_ * row_stride_ * sizeof(float)), 0);
+      static_cast<std::size_t>(rows_ * row_stride * sizeof(float)), 0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const auto row = view.row(r);
-    std::memcpy(payload.data() + r * row_stride_ * sizeof(float), row.data(),
+    std::memcpy(payload.data() + r * row_stride * sizeof(float), row.data(),
                 dims_ * sizeof(float));
   }
   add_section("fmat", std::move(payload));
@@ -306,71 +366,15 @@ void SnapshotBuilder::set_min_version(std::uint32_t version) {
 }
 
 void SnapshotBuilder::write(const std::string& path) const {
-  V2V_CHECK(sections_.size() <= kMaxSections, "too many sections");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open for writing");
-
-  // Lay out payloads: 64-byte aligned, "fmat" placed wherever it appears
-  // in add order (set_float_matrix callers add it first in practice).
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + sections_.size() * kSectionEntryBytes;
-  std::uint64_t cursor = align64(entries_end + 8);
-  std::vector<SnapshotSection> entries;
-  entries.reserve(sections_.size());
-  const SnapshotSection* fmat = nullptr;
-  for (const auto& [name, payload] : sections_) {
-    SnapshotSection s;
-    s.name = name;
-    s.offset = cursor;
-    s.bytes = payload.size();
-    s.checksum = fnv1a64(payload.data(), payload.size());
-    cursor = align64(cursor + s.bytes);
-    entries.push_back(std::move(s));
-    if (name == "fmat") fmat = &entries.back();
+  std::vector<std::string> names;
+  names.reserve(sections_.size());
+  for (const auto& [name, payload] : sections_) names.push_back(name);
+  StreamingSnapshotWriter writer(path, std::move(names));
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    if (i > 0) writer.next_section();
+    writer.append(sections_[i].second);
   }
-
-  SnapshotHeader h;
-  h.version = std::max(kSnapshotVersionSections, min_version_);
-  h.rows = rows_;
-  h.dims = dims_;
-  if (fmat != nullptr) {
-    h.dtype = kDtypeFloat32;
-    h.row_stride = row_stride_;
-    h.data_offset = fmat->offset;
-    h.data_bytes = fmat->bytes;
-    h.data_checksum = fmat->checksum;
-  } else {
-    h.dtype = kDtypeNone;
-    h.row_stride = 0;
-    h.data_offset = align64(entries_end + 8);
-    h.data_bytes = 0;
-    h.data_checksum = 0;
-  }
-
-  std::uint8_t header[kHeaderBytes];
-  encode_snapshot_header(h, header);
-  out.write(reinterpret_cast<const char*>(header), kHeaderBytes);
-
-  // Section table: count + reserved, entries, then the table checksum.
-  const std::vector<std::uint8_t> table = encode_section_table(entries);
-  out.write(reinterpret_cast<const char*>(table.data()),
-            static_cast<std::streamsize>(table.size()));
-  const std::uint64_t table_checksum = fnv1a64(table.data(), table.size());
-  out.write(reinterpret_cast<const char*>(&table_checksum), 8);
-
-  // Payloads, with zero padding up to each aligned offset.
-  std::uint64_t written = entries_end + 8;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::vector<char> pad(
-        static_cast<std::size_t>(entries[i].offset - written), 0);
-    out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-    const auto& payload = sections_[i].second;
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    written = entries[i].offset + entries[i].bytes;
-  }
-  out.flush();
-  if (!out) fail(SnapshotErrorCode::kOpenFailed, path, "write failed");
+  writer.finish(rows_, dims_, min_version_, /*pad_tail=*/false);
 }
 
 StreamingSnapshotWriter::StreamingSnapshotWriter(
@@ -390,9 +394,7 @@ StreamingSnapshotWriter::StreamingSnapshotWriter(
   }
   // Reserve the header + table region (rewritten by finish) and pad up to
   // the first payload's 64-byte-aligned offset.
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + names_.size() * kSectionEntryBytes;
-  section_offset_ = align64(entries_end + 8);
+  section_offset_ = align64(table_end(names_.size()));
   const std::vector<char> zeros(static_cast<std::size_t>(section_offset_), 0);
   out_.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
   cursor_ = section_offset_;
@@ -407,13 +409,15 @@ void StreamingSnapshotWriter::append(const void* data, std::size_t bytes) {
   cursor_ += bytes;
 }
 
-void StreamingSnapshotWriter::seal_current() {
+void StreamingSnapshotWriter::seal_current(bool pad) {
   sealed_.push_back({names_[current_], section_offset_, section_bytes_,
                      section_checksum_});
-  const std::uint64_t aligned = align64(cursor_);
-  const std::vector<char> pad(static_cast<std::size_t>(aligned - cursor_), 0);
-  out_.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-  cursor_ = aligned;
+  if (pad) {
+    const std::uint64_t aligned = align64(cursor_);
+    const std::vector<char> zeros(static_cast<std::size_t>(aligned - cursor_), 0);
+    out_.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+    cursor_ = aligned;
+  }
   section_offset_ = cursor_;
   section_bytes_ = 0;
   section_checksum_ = fnv1a64_seed();
@@ -423,94 +427,100 @@ void StreamingSnapshotWriter::next_section() {
   V2V_CHECK(!finished_, "StreamingSnapshotWriter: next_section after finish");
   V2V_CHECK(current_ + 1 < names_.size(),
             "StreamingSnapshotWriter: no more declared sections");
-  seal_current();
+  seal_current(/*pad=*/true);
   ++current_;
 }
 
 void StreamingSnapshotWriter::finish(std::uint64_t rows, std::uint64_t dims,
-                                     std::uint32_t version) {
+                                     std::uint32_t version, bool pad_tail) {
   V2V_CHECK(!finished_, "StreamingSnapshotWriter: double finish");
   V2V_CHECK(current_ + 1 == names_.size(),
             "StreamingSnapshotWriter: not every declared section was written");
-  V2V_CHECK(version >= kSnapshotVersionSections &&
+  V2V_CHECK(version >= kSnapshotVersion &&
                 version <= kSnapshotVersionTrainerState,
-            "StreamingSnapshotWriter: sections need a v2+ version");
-  seal_current();
+            "StreamingSnapshotWriter: version beyond what this build can write");
+  seal_current(pad_tail);
   finished_ = true;
 
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + names_.size() * kSectionEntryBytes;
+  const auto fmat = std::find_if(
+      sealed_.begin(), sealed_.end(),
+      [](const SnapshotSection& s) { return s.name == "fmat"; });
+  V2V_CHECK(version >= kSnapshotVersionSections ||
+                (sealed_.size() == 1 && fmat != sealed_.end()),
+            "StreamingSnapshotWriter: a v1 snapshot holds exactly one 'fmat'");
   SnapshotHeader h;
   h.version = version;
-  h.dtype = kDtypeNone;
   h.rows = rows;
   h.dims = dims;
-  h.row_stride = 0;
-  h.data_offset = align64(entries_end + 8);
-  h.data_bytes = 0;
-  h.data_checksum = 0;
+  if (fmat != sealed_.end()) {
+    h.dtype = kDtypeFloat32;
+    h.row_stride = MatrixF::padded_stride(dims);
+    V2V_CHECK(fmat->bytes == rows * h.row_stride * sizeof(float),
+              "StreamingSnapshotWriter: 'fmat' must hold rows x "
+              "padded_stride(dims) floats");
+    h.data_offset = fmat->offset;
+    h.data_bytes = fmat->bytes;
+    h.data_checksum = fmat->checksum;
+  } else {
+    // No float region: data_offset names where the payloads begin.
+    h.dtype = kDtypeNone;
+    h.data_offset = sealed_.front().offset;
+  }
 
   std::uint8_t header[kHeaderBytes];
   encode_snapshot_header(h, header);
   out_.seekp(0);
   out_.write(reinterpret_cast<const char*>(header), kHeaderBytes);
-  const std::vector<std::uint8_t> table = encode_section_table(sealed_);
-  out_.write(reinterpret_cast<const char*>(table.data()),
-             static_cast<std::streamsize>(table.size()));
-  const std::uint64_t table_checksum = fnv1a64(table.data(), table.size());
-  out_.write(reinterpret_cast<const char*>(&table_checksum), 8);
+  if (version >= kSnapshotVersionSections) {
+    // Section table: count + reserved, entries, then the table checksum.
+    std::vector<std::uint8_t> table(table_end(sealed_.size()) -
+                                        kSectionTableOffset,
+                                    0);
+    put<std::uint32_t>(table.data(), 0,
+                       static_cast<std::uint32_t>(sealed_.size()));
+    for (std::size_t i = 0; i < sealed_.size(); ++i) {
+      const std::size_t at = 8 + i * kSectionEntryBytes;
+      std::memcpy(table.data() + at, sealed_[i].name.data(),
+                  sealed_[i].name.size());
+      put<std::uint64_t>(table.data(), at + 8, sealed_[i].offset);
+      put<std::uint64_t>(table.data(), at + 16, sealed_[i].bytes);
+      put<std::uint64_t>(table.data(), at + 24, sealed_[i].checksum);
+    }
+    const std::size_t sum_at = table.size() - 8;
+    put<std::uint64_t>(table.data(), sum_at, fnv1a64(table.data(), sum_at));
+    out_.write(reinterpret_cast<const char*>(table.data()),
+               static_cast<std::streamsize>(table.size()));
+  }
   out_.flush();
   if (!out_) fail(SnapshotErrorCode::kOpenFailed, path_, "write failed");
 }
 
+void MappedSnapshot::Unmap::operator()(void* base) const noexcept {
+  ::munmap(base, bytes);
+}
+
 MappedSnapshot MappedSnapshot::open(const std::string& path, MapMode mode) {
-  const SnapshotHeader h = read_snapshot_header(path);
-
+  const ReadOnlyFile file(path);
   MappedSnapshot out;
-  out.header_ = h;
-
-  std::uint64_t file_size = 0;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
-    file_size = static_cast<std::uint64_t>(in.tellg());
-  }
-  out.file_bytes_ = static_cast<std::size_t>(file_size);
-
-#if V2V_STORE_HAS_MMAP
-  if (mode == MapMode::kAuto && !mmap_disabled_by_env() && file_size > 0) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* base =
-          ::mmap(nullptr, out.file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (base != MAP_FAILED) {
-        out.map_base_ = base;
-        out.map_bytes_ = out.file_bytes_;
-      }
+  out.path_ = path;
+  if (mode == MapMode::kAuto && !mmap_disabled_by_env() && file.size() > 0) {
+    void* base =
+        ::mmap(nullptr, file.size(), PROT_READ, MAP_PRIVATE, file.fd(), 0);
+    // A refused mmap (e.g. an exotic filesystem) takes the buffered path
+    // rather than failing a readable file.
+    if (base != MAP_FAILED) {
+      out.map_ = std::unique_ptr<void, Unmap>(base, Unmap{file.size()});
+      out.image_ = {static_cast<const std::uint8_t*>(base), file.size()};
     }
   }
-#endif
-  if (out.map_base_ == nullptr) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
-    out.buffer_.resize(out.file_bytes_);
-    if (!out.buffer_.empty()) {
-      in.read(reinterpret_cast<char*>(out.buffer_.data()),
-              static_cast<std::streamsize>(out.buffer_.size()));
-      if (!in) fail(SnapshotErrorCode::kTruncatedData, path, "short file read");
-    }
+  if (out.map_ == nullptr) {
+    out.buffer_.resize(file.size());
+    file.read_prefix(out.buffer_.data(), file.size());
+    out.image_ = out.buffer_;
   }
-
-  out.sections_ = parse_section_table(out.base(), file_size, h, path);
-  for (const auto& s : out.sections_) {
-    const std::uint64_t checksum =
-        fnv1a64(out.base() + s.offset, static_cast<std::size_t>(s.bytes));
-    if (checksum != s.checksum) {
-      fail(SnapshotErrorCode::kSectionChecksumMismatch, path,
-           "section '" + s.name + "' checksum mismatch");
-    }
-  }
+  SnapshotLayout layout = validate_snapshot_image(out.image_, path);
+  out.header_ = layout.header;
+  out.sections_ = std::move(layout.sections);
   return out;
 }
 
@@ -525,56 +535,19 @@ std::span<const std::uint8_t> MappedSnapshot::section(
     const std::string& name) const {
   for (const auto& s : sections_) {
     if (s.name == name) {
-      return {base() + s.offset, static_cast<std::size_t>(s.bytes)};
+      return image_.subspan(static_cast<std::size_t>(s.offset),
+                            static_cast<std::size_t>(s.bytes));
     }
   }
-  fail(SnapshotErrorCode::kBadHeader, "<mapped>",
+  fail(SnapshotErrorCode::kBadHeader, path_,
        "section '" + name + "' not present");
 }
 
 EmbeddingView MappedSnapshot::float_view() const noexcept {
   V2V_CHECK(has_floats(), "snapshot carries no float matrix");
   const auto* data =
-      reinterpret_cast<const float*>(base() + header_.data_offset);
+      reinterpret_cast<const float*>(image_.data() + header_.data_offset);
   return EmbeddingView(data, header_.rows, header_.dims, header_.row_stride);
-}
-
-const std::uint8_t* MappedSnapshot::base() const noexcept {
-  return map_base_ != nullptr ? static_cast<const std::uint8_t*>(map_base_)
-                              : buffer_.data();
-}
-
-MappedSnapshot::MappedSnapshot(MappedSnapshot&& other) noexcept
-    : header_(other.header_),
-      sections_(std::move(other.sections_)),
-      map_base_(std::exchange(other.map_base_, nullptr)),
-      map_bytes_(std::exchange(other.map_bytes_, 0)),
-      buffer_(std::move(other.buffer_)),
-      file_bytes_(std::exchange(other.file_bytes_, 0)) {}
-
-MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
-  if (this != &other) {
-    reset();
-    header_ = other.header_;
-    sections_ = std::move(other.sections_);
-    map_base_ = std::exchange(other.map_base_, nullptr);
-    map_bytes_ = std::exchange(other.map_bytes_, 0);
-    buffer_ = std::move(other.buffer_);
-    file_bytes_ = std::exchange(other.file_bytes_, 0);
-  }
-  return *this;
-}
-
-MappedSnapshot::~MappedSnapshot() { reset(); }
-
-void MappedSnapshot::reset() noexcept {
-#if V2V_STORE_HAS_MMAP
-  if (map_base_ != nullptr) ::munmap(map_base_, map_bytes_);
-#endif
-  map_base_ = nullptr;
-  map_bytes_ = 0;
-  buffer_.clear();
-  sections_.clear();
 }
 
 }  // namespace v2v::store

@@ -1,11 +1,13 @@
 // The snapshot *container* format, independent of what the payloads mean:
-// magic + checksummed fixed header, the v2 named-section table, the mmap
-// reader with buffered fallback, and the writers. This layer depends only
-// on common/ so anything in the tree (the walk layer's corpus spool, the
+// magic + checksummed fixed header, the v2 named-section table, the one
+// reader (MappedSnapshot: mmap with buffered fallback, one in-memory
+// validator) and the one writer (StreamingSnapshotWriter; SnapshotBuilder
+// streams its held payloads through it). This layer depends only on
+// common/ so anything in the tree (the walk layer's corpus spool, the
 // quantized indexes, the trainer-state store) can persist checksummed
 // sections without pulling in the embedding types; store/snapshot.hpp
 // layers the embedding-level API (EmbeddingStore / MappedEmbedding) on
-// top.
+// top of this reader and writer.
 //
 // On-disk layout (all integers little-endian; see docs/ARCHITECTURE.md):
 //
@@ -22,21 +24,23 @@
 //         64   header_checksum u64  FNV-1a 64 over bytes [0, 64)
 //
 // v2+ files append a checksummed section table at byte 72 (see
-// SnapshotSection). Every malformed input fails with a typed
-// SnapshotError (never UB), so corrupt files are diagnosable and the
-// corruption test matrices can assert exact error codes.
+// SnapshotSection); a v2+ float header must mirror its "fmat" entry.
+// Every malformed input fails with a typed SnapshotError (never UB), so
+// corrupt files are diagnosable and the corruption test matrices can
+// assert exact error codes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <iosfwd>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "v2v/common/aligned.hpp"
 #include "v2v/store/embedding_view.hpp"
 
 namespace v2v::store {
@@ -130,9 +134,8 @@ inline constexpr std::size_t kSnapshotHeaderBytes = 72;
 /// `file_size` is the total size of the purported file, checked against
 /// the region the header promises. Throws SnapshotError with the same
 /// typed codes as the file-based readers; `origin` names the source in
-/// error messages. This is the single validator behind
-/// read_header/load/MappedEmbedding::open for untrusted bytes — and the
-/// entry point fuzz/fuzz_snapshot.cpp drives.
+/// error messages. validate_snapshot_image and read_snapshot_header run
+/// every header through it, and fuzz/fuzz_snapshot.cpp drives it directly.
 [[nodiscard]] SnapshotHeader decode_snapshot_header(
     std::span<const std::uint8_t> bytes, std::uint64_t file_size,
     const std::string& origin = "<memory>");
@@ -143,12 +146,6 @@ inline constexpr std::size_t kSnapshotHeaderBytes = 72;
 /// corruption matrices.
 void encode_snapshot_header(const SnapshotHeader& h,
                             std::span<std::uint8_t> out) noexcept;
-
-/// Reads and validates the fixed header from an open binary stream,
-/// leaving it positioned at byte kSnapshotHeaderBytes; `origin` names the
-/// file in error messages.
-[[nodiscard]] SnapshotHeader read_snapshot_header(std::istream& in,
-                                                  const std::string& origin);
 
 /// Opens `path` and validates just the fixed header (cheap metadata probe).
 [[nodiscard]] SnapshotHeader read_snapshot_header(const std::string& path);
@@ -173,8 +170,9 @@ enum class MapMode : std::uint8_t { kAuto, kBuffered };
 ///          80+32n  table_checksum u64 (FNV-1a 64 over bytes [72, 80+32n))
 ///   payloads       each 64-byte aligned; when a float matrix is present
 ///                  it is the "fmat" section and the fixed header's
-///                  data_offset/data_bytes/data_checksum mirror its entry,
-///                  so MappedEmbedding reads v2-with-floats unchanged.
+///                  data_offset/data_bytes/data_checksum mirror its entry
+///                  (the reader rejects a file where they differ), so
+///                  MappedEmbedding reads v2-with-floats unchanged.
 struct SnapshotSection {
   std::string name;  ///< up to 8 bytes, e.g. "fmat", "pqbk", "ctok"
   std::uint64_t offset = 0;
@@ -182,10 +180,30 @@ struct SnapshotSection {
   std::uint64_t checksum = 0;
 };
 
-/// Writes a v2 snapshot: optional float matrix plus arbitrary named
-/// sections, every payload checksummed and 64-byte aligned. Payloads are
-/// buffered in memory until `write` — use StreamingSnapshotWriter when the
-/// payloads must not be resident all at once.
+/// What validate_snapshot_image proved about an image: its fixed header
+/// and its section table (a v1 file's float region appears as one
+/// synthetic "fmat" entry).
+struct SnapshotLayout {
+  SnapshotHeader header;
+  std::vector<SnapshotSection> sections;
+};
+
+/// Validates a whole in-memory snapshot image: the fixed header (via
+/// decode_snapshot_header, with file_size = image.size()), the section
+/// table, the rule that a v2+ float header mirrors its "fmat" entry
+/// (kBadHeader otherwise), the float region checksum
+/// (kDataChecksumMismatch) and every other section checksum
+/// (kSectionChecksumMismatch). Each byte is hashed at most once. This is
+/// the validator behind every snapshot reader and the image mode of
+/// fuzz/fuzz_snapshot.cpp.
+[[nodiscard]] SnapshotLayout validate_snapshot_image(
+    std::span<const std::uint8_t> image, const std::string& origin = "<memory>");
+
+/// Collects a v2+ snapshot's payloads in memory — optional float matrix
+/// plus arbitrary named sections — and writes them through
+/// StreamingSnapshotWriter, so every payload is checksummed and 64-byte
+/// aligned. Use StreamingSnapshotWriter directly when the payloads must
+/// not be resident all at once.
 class SnapshotBuilder {
  public:
   /// Logical corpus shape (rows x dims), independent of which payloads
@@ -207,26 +225,30 @@ class SnapshotBuilder {
   /// kSnapshotVersionSections.
   void set_min_version(std::uint32_t version);
 
-  /// Serializes everything to `path`.
+  /// Serializes everything to `path`; needs at least one section. The
+  /// file ends at the last payload byte (no tail padding).
   void write(const std::string& path) const;
 
  private:
   std::uint64_t rows_;
   std::uint64_t dims_;
-  std::uint64_t row_stride_ = 0;  ///< nonzero iff a float matrix is attached
   std::uint32_t min_version_ = kSnapshotVersionSections;
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
 };
 
-/// Streams a v2 sections-only snapshot (dtype none) to disk without ever
-/// buffering a payload in memory — the writer behind the corpus spool,
-/// where a segment can exceed RAM. Section names are declared up front
+/// The one snapshot writer: streams payloads to disk without buffering
+/// them (the corpus spool's segments can exceed RAM) and lays out the
+/// header, section table and padding. Section names are declared up front
 /// (the table layout needs the count); bytes are appended to the current
 /// section and checksummed incrementally; next_section() seals one and
 /// starts the next, in declared order. finish() seeks back and writes the
 /// real header + table — the file is not a valid snapshot until then.
-/// The emitted bytes are exactly what SnapshotBuilder would produce for
-/// the same payloads, so MappedSnapshot reads both identically.
+///
+/// finish() derives the header from the sections: with an "fmat" section
+/// (floats padded to MatrixF::padded_stride(dims)) the header carries
+/// dtype float32 and mirrors the "fmat" entry, otherwise dtype none. At
+/// version 1 the only section is "fmat", no table is written and the
+/// reserved bytes before offset 128 stay zero — a v1 file.
 class StreamingSnapshotWriter {
  public:
   StreamingSnapshotWriter(const std::string& path,
@@ -247,16 +269,20 @@ class StreamingSnapshotWriter {
   void next_section();
 
   /// Seals the last section and writes the fixed header (rows/dims are
-  /// the logical shape stamped into it) plus the checksummed section
-  /// table. Must be called with every declared section written.
+  /// the logical shape stamped into it) plus, from version 2 on, the
+  /// checksummed section table. Must be called with every declared
+  /// section written. `pad_tail` zero-pads the file end to a 64-byte
+  /// boundary (the spool's segment layout); SnapshotBuilder files end at
+  /// the last payload byte.
   void finish(std::uint64_t rows, std::uint64_t dims,
-              std::uint32_t version = kSnapshotVersionSections);
+              std::uint32_t version = kSnapshotVersionSections,
+              bool pad_tail = true);
 
   /// Total file bytes emitted so far (header/table region included).
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return cursor_; }
 
  private:
-  void seal_current();
+  void seal_current(bool pad);
 
   std::string path_;
   std::ofstream out_;
@@ -270,26 +296,23 @@ class StreamingSnapshotWriter {
   bool finished_ = false;
 };
 
-/// A v2 (or v1) snapshot opened for serving with all sections validated.
-/// On POSIX the whole file is mmapped read-only and `section()` spans point
-/// straight into the mapping; elsewhere (or under V2V_STORE_NO_MMAP=1 /
-/// MapMode kBuffered) the file is read into an owning buffer. A v1 file
-/// appears as a single synthetic "fmat" section, so callers can treat both
-/// versions uniformly. Move-only.
+/// The one snapshot reader: a v1/v2/v3 snapshot opened for serving with
+/// every byte validated (validate_snapshot_image). The file is opened
+/// once; on POSIX it is mmapped read-only and `section()` spans point
+/// straight into the mapping; under V2V_STORE_NO_MMAP=1 / MapMode
+/// kBuffered (or when mmap fails) it is read into an owning 64-byte-
+/// aligned buffer. A v1 file appears as a single synthetic "fmat"
+/// section, so callers can treat every version uniformly. Move-only;
+/// spans and views stay valid across moves.
 class MappedSnapshot {
  public:
   using MapMode = store::MapMode;
 
-  /// Opens and fully validates `path`: header, section table, and every
-  /// section checksum (faults each page exactly once, doubling as warm-up).
+  /// Opens and fully validates `path`: header, section table, the "fmat"
+  /// mirror rule and every checksum (faults each page exactly once,
+  /// doubling as warm-up).
   [[nodiscard]] static MappedSnapshot open(const std::string& path,
                                            MapMode mode = MapMode::kAuto);
-
-  MappedSnapshot(MappedSnapshot&& other) noexcept;
-  MappedSnapshot& operator=(MappedSnapshot&& other) noexcept;
-  MappedSnapshot(const MappedSnapshot&) = delete;
-  MappedSnapshot& operator=(const MappedSnapshot&) = delete;
-  ~MappedSnapshot();
 
   [[nodiscard]] std::size_t rows() const noexcept { return header_.rows; }
   [[nodiscard]] std::size_t dimensions() const noexcept { return header_.dims; }
@@ -309,19 +332,23 @@ class MappedSnapshot {
   }
   /// View over the float matrix; V2V_CHECKs has_floats().
   [[nodiscard]] EmbeddingView float_view() const noexcept;
-  [[nodiscard]] bool zero_copy() const noexcept { return map_base_ != nullptr; }
+  [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
 
  private:
-  MappedSnapshot() = default;
-  void reset() noexcept;
-  [[nodiscard]] const std::uint8_t* base() const noexcept;
+  /// Unmaps a whole-file mapping of `bytes` bytes.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(void* base) const noexcept;
+  };
 
+  MappedSnapshot() = default;
+
+  std::string path_;
   SnapshotHeader header_;
   std::vector<SnapshotSection> sections_;
-  void* map_base_ = nullptr;
-  std::size_t map_bytes_ = 0;
-  std::vector<std::uint8_t> buffer_;  ///< fallback storage
-  std::size_t file_bytes_ = 0;
+  std::unique_ptr<void, Unmap> map_;   ///< non-null iff mmap-backed
+  AlignedVector<std::uint8_t> buffer_;  ///< buffered-mode storage
+  std::span<const std::uint8_t> image_;  ///< the whole file, in map_ or buffer_
 };
 
 }  // namespace v2v::store

@@ -1,70 +1,23 @@
 #include "v2v/store/snapshot.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <utility>
 #include <vector>
 
 #include "v2v/common/matrix.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define V2V_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define V2V_STORE_HAS_MMAP 0
-#endif
-
 namespace v2v::store {
-namespace {
-
-constexpr std::size_t kHeaderBytes = kSnapshotHeaderBytes;
-constexpr std::size_t kDataOffset = 128;  // what this writer emits; 64-aligned
-
-[[noreturn]] void fail(SnapshotErrorCode code, const std::string& path,
-                       const std::string& detail) {
-  throw_snapshot_error(code, path, detail);
-}
-
-}  // namespace
 
 void EmbeddingStore::save(const embed::Embedding& embedding,
                           const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open for writing");
-
-  SnapshotHeader h;
-  h.rows = embedding.vertex_count();
-  h.dims = embedding.dimensions();
-  h.row_stride = MatrixF::padded_stride(h.dims);
-  h.data_offset = kDataOffset;
-  h.data_bytes = h.rows * h.row_stride * sizeof(float);
-
-  // Reserve the header region, stream the rows while folding the data
-  // checksum, then come back and write the real header.
-  const std::vector<char> zeros(kDataOffset, 0);
-  out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-
-  std::vector<float> rowbuf(h.row_stride, 0.0f);
-  std::uint64_t checksum = fnv1a64_seed();
-  for (std::size_t v = 0; v < h.rows; ++v) {
+  StreamingSnapshotWriter writer(path, {"fmat"});
+  const std::size_t dims = embedding.dimensions();
+  std::vector<float> rowbuf(MatrixF::padded_stride(dims), 0.0f);
+  for (std::size_t v = 0; v < embedding.vertex_count(); ++v) {
     const auto r = embedding.vector(v);
     std::copy(r.begin(), r.end(), rowbuf.begin());
-    const std::size_t bytes = h.row_stride * sizeof(float);
-    checksum = fnv1a64_accumulate(checksum, rowbuf.data(), bytes);
-    out.write(reinterpret_cast<const char*>(rowbuf.data()),
-              static_cast<std::streamsize>(bytes));
+    writer.append(rowbuf.data(), rowbuf.size() * sizeof(float));
   }
-  h.data_checksum = checksum;
-
-  std::uint8_t header[kHeaderBytes];
-  encode_snapshot_header(h, header);
-  out.seekp(0);
-  out.write(reinterpret_cast<const char*>(header), kHeaderBytes);
-  out.flush();
-  if (!out) fail(SnapshotErrorCode::kOpenFailed, path, "write failed");
+  writer.finish(embedding.vertex_count(), dims, kSnapshotVersion);
 }
 
 SnapshotHeader EmbeddingStore::read_header(const std::string& path) {
@@ -72,125 +25,22 @@ SnapshotHeader EmbeddingStore::read_header(const std::string& path) {
 }
 
 embed::Embedding EmbeddingStore::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
-  const SnapshotHeader h = read_snapshot_header(in, path);
-  if (h.dtype != kDtypeFloat32) {
-    fail(SnapshotErrorCode::kBadDtype, path, "snapshot carries no float matrix");
-  }
-
-  embed::Embedding out(h.rows, h.dims);
-  in.seekg(static_cast<std::streamoff>(h.data_offset));
-  std::vector<float> rowbuf(h.row_stride);
-  std::uint64_t checksum = fnv1a64_seed();
-  for (std::size_t v = 0; v < h.rows; ++v) {
-    const std::size_t bytes = h.row_stride * sizeof(float);
-    in.read(reinterpret_cast<char*>(rowbuf.data()),
-            static_cast<std::streamsize>(bytes));
-    if (!in) fail(SnapshotErrorCode::kTruncatedData, path, "short row read");
-    checksum = fnv1a64_accumulate(checksum, rowbuf.data(), bytes);
-    const auto dst = out.vector(v);
-    std::copy(rowbuf.begin(), rowbuf.begin() + static_cast<std::ptrdiff_t>(h.dims),
-              dst.begin());
-  }
-  if (checksum != h.data_checksum) {
-    fail(SnapshotErrorCode::kDataChecksumMismatch, path,
-         "data checksum mismatch");
+  const MappedEmbedding mapped = MappedEmbedding::open(path);
+  embed::Embedding out(mapped.rows(), mapped.dimensions());
+  for (std::size_t v = 0; v < mapped.rows(); ++v) {
+    const auto row = mapped.row(v);
+    std::copy(row.begin(), row.end(), out.vector(v).begin());
   }
   return out;
 }
 
 MappedEmbedding MappedEmbedding::open(const std::string& path, MapMode mode) {
-  SnapshotHeader h = read_snapshot_header(path);
-  if (h.dtype != kDtypeFloat32) {
-    fail(SnapshotErrorCode::kBadDtype, path, "snapshot carries no float matrix");
+  MappedSnapshot snapshot = MappedSnapshot::open(path, mode);
+  if (!snapshot.has_floats()) {
+    throw_snapshot_error(SnapshotErrorCode::kBadDtype, path,
+                         "snapshot carries no float matrix");
   }
-
-  MappedEmbedding out;
-  out.header_ = h;
-  const std::size_t total_bytes =
-      static_cast<std::size_t>(h.data_offset + h.data_bytes);
-
-#if V2V_STORE_HAS_MMAP
-  if (mode == MapMode::kAuto && !mmap_disabled_by_env() && h.data_bytes > 0) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* base = ::mmap(nullptr, total_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);  // the mapping keeps its own reference
-      if (base != MAP_FAILED) {
-        out.map_base_ = base;
-        out.map_bytes_ = total_bytes;
-        const auto* data = reinterpret_cast<const float*>(
-            static_cast<const unsigned char*>(base) + h.data_offset);
-        out.view_ = EmbeddingView(data, h.rows, h.dims, h.row_stride);
-        // Validate in place; this faults every page exactly once, which
-        // doubles as index warm-up for the common open-then-build flow.
-        const std::uint64_t checksum = fnv1a64(data, h.data_bytes);
-        if (checksum != h.data_checksum) {
-          fail(SnapshotErrorCode::kDataChecksumMismatch, path,
-               "data checksum mismatch");
-        }
-        return out;
-      }
-      // mmap refused (e.g. exotic filesystem): fall through to the
-      // buffered path rather than failing a readable file.
-    }
-  }
-#endif
-  (void)mode;
-  (void)total_bytes;
-
-  // Buffered fallback: identical observable behaviour, rows owned.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SnapshotErrorCode::kOpenFailed, path, "cannot open");
-  in.seekg(static_cast<std::streamoff>(h.data_offset));
-  out.buffer_.resize(static_cast<std::size_t>(h.rows * h.row_stride));
-  if (!out.buffer_.empty()) {
-    in.read(reinterpret_cast<char*>(out.buffer_.data()),
-            static_cast<std::streamsize>(h.data_bytes));
-    if (!in) fail(SnapshotErrorCode::kTruncatedData, path, "short data read");
-  }
-  const std::uint64_t checksum = fnv1a64(out.buffer_.data(), h.data_bytes);
-  if (checksum != h.data_checksum) {
-    fail(SnapshotErrorCode::kDataChecksumMismatch, path,
-         "data checksum mismatch");
-  }
-  out.view_ = EmbeddingView(out.buffer_.data(), h.rows, h.dims, h.row_stride);
-  return out;
-}
-
-MappedEmbedding::MappedEmbedding(MappedEmbedding&& other) noexcept
-    : header_(other.header_),
-      view_(other.view_),
-      map_base_(std::exchange(other.map_base_, nullptr)),
-      map_bytes_(std::exchange(other.map_bytes_, 0)),
-      buffer_(std::move(other.buffer_)) {
-  other.view_ = EmbeddingView();
-}
-
-MappedEmbedding& MappedEmbedding::operator=(MappedEmbedding&& other) noexcept {
-  if (this != &other) {
-    reset();
-    header_ = other.header_;
-    view_ = other.view_;
-    map_base_ = std::exchange(other.map_base_, nullptr);
-    map_bytes_ = std::exchange(other.map_bytes_, 0);
-    buffer_ = std::move(other.buffer_);
-    other.view_ = EmbeddingView();
-  }
-  return *this;
-}
-
-MappedEmbedding::~MappedEmbedding() { reset(); }
-
-void MappedEmbedding::reset() noexcept {
-#if V2V_STORE_HAS_MMAP
-  if (map_base_ != nullptr) ::munmap(map_base_, map_bytes_);
-#endif
-  map_base_ = nullptr;
-  map_bytes_ = 0;
-  buffer_.clear();
-  view_ = EmbeddingView();
+  return MappedEmbedding(std::move(snapshot));
 }
 
 void convert_text_to_snapshot(const std::string& text_path,

@@ -3,27 +3,28 @@
 // the text format per run does not scale).
 //
 // The container format itself — fixed header, checksummed section table,
-// mmap reader, streaming writer — lives in store/format.hpp (it depends
-// only on common/, so the walk layer's corpus spool reuses it). This
-// header adds the embedding-level API on top:
+// the one reader (MappedSnapshot) and the one writer
+// (StreamingSnapshotWriter) — lives in store/format.hpp (it depends only
+// on common/, so the walk layer's corpus spool reuses it). This header
+// adds the embedding-level API as thin layers over that reader and writer:
 //
-//   - EmbeddingStore: save/load an embed::Embedding as a v1 snapshot
+//   - EmbeddingStore: save an embed::Embedding as a v1 snapshot (a one-
+//     section "fmat" stream), load one by copying rows out of the reader
 //   - MappedEmbedding: zero-copy mmap'd rows for serving
 //   - text <-> snapshot converters for the word2vec format
 //
-// Loading is either by copy (`EmbeddingStore::load`) or zero-copy
-// (`MappedEmbedding`): the mapped path hands out rows pointing straight
-// into the page cache — no row memcpy — and falls back to a buffered read
-// on platforms without mmap (or when V2V_STORE_NO_MMAP=1 is set, which is
-// how the fallback is tested everywhere).
+// The mapped path hands out rows pointing straight into the page cache —
+// no row memcpy — and falls back to a buffered read when mmap fails or
+// V2V_STORE_NO_MMAP=1 is set (which is how the fallback is tested
+// everywhere).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 
-#include "v2v/common/aligned.hpp"
 #include "v2v/embed/embedding.hpp"
 #include "v2v/store/embedding_view.hpp"
 #include "v2v/store/format.hpp"
@@ -36,38 +37,38 @@ class EmbeddingStore {
   /// the caller's concern; this truncates in place).
   static void save(const embed::Embedding& embedding, const std::string& path);
 
-  /// Validates and reads the whole snapshot into an owning Embedding.
+  /// Validates the whole snapshot (MappedSnapshot::open) and copies its
+  /// rows into an owning Embedding.
   [[nodiscard]] static embed::Embedding load(const std::string& path);
 
   /// Validates and decodes just the fixed header (cheap metadata probe).
   [[nodiscard]] static SnapshotHeader read_header(const std::string& path);
 };
 
-/// A snapshot opened for serving. On POSIX the row region is mmapped
-/// read-only and `row()` / `view()` point straight into the mapping —
-/// zero-copy, pages fault in on first touch. Elsewhere (or under
-/// V2V_STORE_NO_MMAP=1, or MapMode::kBuffered) the rows are read into an
-/// owning 64-byte-aligned buffer with identical observable behaviour.
-/// Move-only; the destructor unmaps.
+/// A float snapshot opened for serving: a MappedSnapshot plus its
+/// float_view(). On POSIX the file is mmapped read-only and `row()` /
+/// `view()` point straight into the mapping — zero-copy, pages fault in
+/// on first touch. Under V2V_STORE_NO_MMAP=1 or MapMode::kBuffered the
+/// file is read into an owning 64-byte-aligned buffer with identical
+/// observable behaviour. Move-only.
 class MappedEmbedding {
  public:
   using MapMode = store::MapMode;
 
-  /// Opens and fully validates `path` (header + data checksums).
+  /// Opens and fully validates `path` (MappedSnapshot::open); a snapshot
+  /// without a float matrix fails with kBadDtype.
   [[nodiscard]] static MappedEmbedding open(const std::string& path,
                                             MapMode mode = MapMode::kAuto);
 
-  MappedEmbedding(MappedEmbedding&& other) noexcept;
-  MappedEmbedding& operator=(MappedEmbedding&& other) noexcept;
-  MappedEmbedding(const MappedEmbedding&) = delete;
-  MappedEmbedding& operator=(const MappedEmbedding&) = delete;
-  ~MappedEmbedding();
-
-  [[nodiscard]] std::size_t rows() const noexcept { return header_.rows; }
-  [[nodiscard]] std::size_t dimensions() const noexcept { return header_.dims; }
-  [[nodiscard]] const SnapshotHeader& header() const noexcept { return header_; }
+  [[nodiscard]] std::size_t rows() const noexcept { return snapshot_.rows(); }
+  [[nodiscard]] std::size_t dimensions() const noexcept {
+    return snapshot_.dimensions();
+  }
+  [[nodiscard]] const SnapshotHeader& header() const noexcept {
+    return snapshot_.header();
+  }
   /// True when rows are served from the mapping (no copy was made).
-  [[nodiscard]] bool zero_copy() const noexcept { return map_base_ != nullptr; }
+  [[nodiscard]] bool zero_copy() const noexcept { return snapshot_.zero_copy(); }
 
   [[nodiscard]] std::span<const float> row(std::size_t r) const noexcept {
     return view_.row(r);
@@ -76,14 +77,11 @@ class MappedEmbedding {
   [[nodiscard]] EmbeddingView view() const noexcept { return view_; }
 
  private:
-  MappedEmbedding() = default;
-  void reset() noexcept;
+  explicit MappedEmbedding(MappedSnapshot snapshot)
+      : snapshot_(std::move(snapshot)), view_(snapshot_.float_view()) {}
 
-  SnapshotHeader header_;
+  MappedSnapshot snapshot_;
   EmbeddingView view_;
-  void* map_base_ = nullptr;  ///< non-null iff mmap-backed
-  std::size_t map_bytes_ = 0;
-  AlignedVector<float> buffer_;  ///< fallback storage
 };
 
 /// Converters between the word2vec text format and the snapshot format.

@@ -204,6 +204,62 @@ TEST_F(QuantSnapshotTest, V1FileAppearsAsSyntheticFmatSection) {
             0);
 }
 
+TEST_F(QuantSnapshotTest, FloatHeaderMustMirrorFmat) {
+  // A forged file whose checksums all hold but whose float header points
+  // at another section's bytes must not be served as the embedding.
+  SnapshotBuilder b(16, 8);
+  b.set_float_matrix(EmbeddingView::of(make_embedding(16, 8, 53)));
+  b.add_section("junk", std::vector<std::uint8_t>(1024, 0xAB));
+  const auto p = path("forged.v2vsnap");
+  b.write(p);
+  const auto good = read_file(p);
+  const auto snap = MappedSnapshot::open(p);
+  const auto* junk = find(snap, "junk");
+  ASSERT_NE(junk, nullptr);
+  try {
+    (void)snap.section("nope");
+    ADD_FAILURE() << "absent section returned bytes";
+  } catch (const SnapshotError& err) {
+    EXPECT_EQ(err.code(), SnapshotErrorCode::kBadHeader);
+    EXPECT_NE(std::string(err.what()).find(p), std::string::npos) << err.what();
+  }
+
+  // Header data_offset moved from "fmat" to "junk", header resealed.
+  auto bytes = good;
+  SnapshotHeader h = decode_snapshot_header(bytes, bytes.size());
+  ASSERT_NE(h.data_offset, junk->offset);
+  h.data_offset = junk->offset;
+  encode_snapshot_header(h, bytes);
+  write_file(p, bytes);
+  for (const auto mode : {MappedSnapshot::MapMode::kAuto,
+                          MappedSnapshot::MapMode::kBuffered}) {
+    EXPECT_EQ(open_error(p, mode), SnapshotErrorCode::kBadHeader);
+  }
+
+  // A float header with no "fmat" entry at all: the entry is renamed and
+  // the table checksum resealed.
+  bytes = good;
+  const std::size_t table = kSnapshotHeaderBytes;
+  const std::size_t count = bytes[table];
+  bool renamed = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    char* name = reinterpret_cast<char*>(bytes.data() + table + 8 + i * 32);
+    if (std::strncmp(name, "fmat", 8) == 0) {
+      name[3] = 'x';
+      renamed = true;
+    }
+  }
+  ASSERT_TRUE(renamed);
+  const std::size_t table_bytes = 8 + count * 32;
+  const std::uint64_t sum = fnv1a64(bytes.data() + table, table_bytes);
+  std::memcpy(bytes.data() + table + table_bytes, &sum, sizeof(sum));
+  write_file(p, bytes);
+  for (const auto mode : {MappedSnapshot::MapMode::kAuto,
+                          MappedSnapshot::MapMode::kBuffered}) {
+    EXPECT_EQ(open_error(p, mode), SnapshotErrorCode::kBadHeader);
+  }
+}
+
 TEST_F(QuantSnapshotTest, CorruptionMatrixOverQuantSections) {
   SnapshotBuilder b(50, 8);
   b.add_section("pqbk", make_payload(2048, 43));

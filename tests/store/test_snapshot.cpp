@@ -169,9 +169,16 @@ TEST_F(SnapshotTest, BufferedModeMatchesMapped) {
       MappedEmbedding::open(p, MappedEmbedding::MapMode::kBuffered);
   EXPECT_FALSE(buffered.zero_copy());
   ASSERT_EQ(buffered.rows(), 14u);
+  const auto snap = MappedSnapshot::open(p, MappedSnapshot::MapMode::kBuffered);
+  EXPECT_FALSE(snap.zero_copy());
+  const auto snap_view = snap.float_view();
+  ASSERT_EQ(snap_view.rows(), 14u);
   for (std::size_t v = 0; v < buffered.rows(); ++v) {
     const auto src = e.vector(v);
     EXPECT_EQ(std::memcmp(buffered.row(v).data(), src.data(), src.size_bytes()), 0);
+    // The owning buffer keeps the same 64-byte row alignment as the map.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffered.row(v).data()) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(snap_view.row(v).data()) % 64, 0u);
   }
 }
 
@@ -330,6 +337,61 @@ TEST_F(SnapshotTest, DataBitflipIsChecksumMismatch) {
             SnapshotErrorCode::kDataChecksumMismatch);
   EXPECT_EQ(map_error(p, MappedEmbedding::MapMode::kBuffered),
             SnapshotErrorCode::kDataChecksumMismatch);
+  for (const auto mode :
+       {MappedSnapshot::MapMode::kAuto, MappedSnapshot::MapMode::kBuffered}) {
+    try {
+      (void)MappedSnapshot::open(p, mode);
+      ADD_FAILURE() << "MappedSnapshot accepted a corrupt float region";
+    } catch (const SnapshotError& err) {
+      EXPECT_EQ(err.code(), SnapshotErrorCode::kDataChecksumMismatch);
+    }
+  }
+}
+
+// Whole-file FNV-1a 64 hashes pin the bytes each writer emits — header
+// fields, section table, padding — so a layout change cannot slip in
+// unnoticed: v1 save, a v3 builder file with floats and two sections,
+// and a two-section streamed file (whose tail is padded).
+TEST_F(SnapshotTest, WrittenBytesArePinned) {
+  embed::Embedding e(3, 5);
+  for (std::size_t v = 0; v < 3; ++v) {
+    for (std::size_t d = 0; d < 5; ++d) {
+      e.vector(v)[d] = static_cast<float>(v) - 0.25f * static_cast<float>(d);
+    }
+  }
+  const auto payload = [](std::size_t n, unsigned mul) {
+    std::vector<std::uint8_t> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      b[i] = static_cast<std::uint8_t>(i * mul + 3);
+    }
+    return b;
+  };
+  const auto codes = payload(100, 7), freq = payload(37, 13);
+  const auto file_hash = [](const std::string& p) {
+    const auto bytes = read_file(p);
+    return fnv1a64(bytes.data(), bytes.size());
+  };
+
+  const auto v1 = path("pin_v1.v2vsnap");
+  EmbeddingStore::save(e, v1);
+  EXPECT_EQ(file_hash(v1), 0x53b1b4700780a72bULL);
+
+  const auto v3 = path("pin_v3.v2vsnap");
+  SnapshotBuilder builder(3, 5);
+  builder.set_float_matrix(EmbeddingView::of(e));
+  builder.add_section("pqbk", codes);
+  builder.add_section("tfreq", freq);
+  builder.set_min_version(kSnapshotVersionTrainerState);
+  builder.write(v3);
+  EXPECT_EQ(file_hash(v3), 0x737ea52a12f0d7ebULL);
+
+  const auto streamed = path("pin_stream.v2vseg");
+  StreamingSnapshotWriter writer(streamed, {"ctok", "cofs"});
+  writer.append(codes.data(), 13);
+  writer.next_section();
+  writer.append(freq.data(), 21);
+  writer.finish(4, 0);
+  EXPECT_EQ(file_hash(streamed), 0x23a50d6a331fc674ULL);
 }
 
 // decode_snapshot_header is the in-memory validator the file readers (and

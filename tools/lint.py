@@ -54,6 +54,10 @@ Enforced on src/ (and partially on tests/ and bench/, see each rule):
       index/top_k.hpp: every result list, rerank tail and IVF probe
       selects through the bounded TopK heap, which never materializes one
       entry per row
+  R14 no ::mmap / ::munmap in src/ outside src/v2v/store/format.cpp:
+      MappedSnapshot is the one file mapper (the corpus spool, the
+      quantized indexes and MappedEmbedding all read through it), so a
+      second mapping with its own lifetime and validation cannot grow back
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exit code 0 = clean, 1 = findings (printed one per line as
@@ -186,6 +190,10 @@ CORPUS_MATERIALIZE_ALLOWLIST: set[str] = {
 PARTIAL_SELECT_RE = re.compile(r"\bstd::(partial_sort|nth_element)\b")
 PARTIAL_SELECT_SCOPE = "src/v2v/index/"
 PARTIAL_SELECT_ALLOWLIST: set[str] = {"src/v2v/index/top_k.hpp"}
+
+# R14: file mapping lives in the one snapshot reader.
+MMAP_RE = re.compile(r"::\s*(mmap|munmap)\s*\(")
+MMAP_ALLOWLIST: set[str] = {"src/v2v/store/format.cpp"}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -423,6 +431,19 @@ class Linter:
                             "the bounded TopK in index/top_k.hpp (or "
                             "allowlist in tools/lint.py)")
 
+    def lint_mmap(self, path: pathlib.Path) -> None:
+        rel = path.relative_to(self.root).as_posix()
+        if rel in MMAP_ALLOWLIST:
+            return
+        code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+        for line_no, line in enumerate(code.splitlines(), start=1):
+            m = MMAP_RE.search(line)
+            if m:
+                self.report(path, line_no, "R14",
+                            f"::{m.group(1)} outside src/v2v/store/format.cpp; "
+                            "read files through store::MappedSnapshot (or "
+                            "allowlist in tools/lint.py)")
+
     def lint_include_hygiene(self, path: pathlib.Path) -> None:
         raw = path.read_text(encoding="utf-8")
         if path.suffix == ".hpp":
@@ -476,6 +497,7 @@ class Linter:
             self.lint_graph_builder(path)
             self.lint_corpus_materialization(path)
             self.lint_partial_select(path)
+            self.lint_mmap(path)
         # Tests and benches get the behavioral rules (R1-R4) but not the
         # structural ones.
         for tree in (tests, bench):
